@@ -1,5 +1,7 @@
 #include "parallel/ghost_exchange.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/retry.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -8,6 +10,11 @@ namespace tkmc {
 namespace {
 
 constexpr int kTagBase = 100;
+
+// Slab payload header byte, then the body.
+constexpr std::uint8_t kFullSlab = 0;    // packCellBox() bytes
+constexpr std::uint8_t kChangeList = 1;  // (u32 offset, u8 species) pairs
+constexpr std::size_t kChangeBytes = 5;
 
 constexpr const char* kAxisSpanName[3] = {"ghost.axis_x", "ghost.axis_y",
                                           "ghost.axis_z"};
@@ -25,11 +32,40 @@ void setAxis(Vec3i& v, int axis, int value) {
     v.z = value;
 }
 
+std::size_t boxSites(Vec3i lo, Vec3i hi) {
+  return static_cast<std::size_t>(hi.x - lo.x) * (hi.y - lo.y) *
+         (hi.z - lo.z) * 2;
+}
+
+// Decodes a change-list body; throws CommError on a malformed one so the
+// receive loop retransmits before anything is written.
+std::vector<Subdomain::BoxChange> decodeChanges(
+    const std::vector<std::uint8_t>& payload, std::size_t boxSiteCount) {
+  if ((payload.size() - 1) % kChangeBytes != 0)
+    throw CommError("malformed ghost change list");
+  std::vector<Subdomain::BoxChange> changes((payload.size() - 1) /
+                                            kChangeBytes);
+  const std::uint8_t* p = payload.data() + 1;
+  for (Subdomain::BoxChange& change : changes) {
+    change.offset = static_cast<std::uint32_t>(p[0]) |
+                    static_cast<std::uint32_t>(p[1]) << 8 |
+                    static_cast<std::uint32_t>(p[2]) << 16 |
+                    static_cast<std::uint32_t>(p[3]) << 24;
+    if (change.offset >= boxSiteCount ||
+        p[4] > static_cast<std::uint8_t>(Species::kVacancy))
+      throw CommError("malformed ghost change list");
+    change.species = static_cast<Species>(p[4]);
+    p += kChangeBytes;
+  }
+  return changes;
+}
+
 }  // namespace
 
 GhostExchange::GhostExchange(const Decomposition& decomp, SimComm& comm)
     : decomp_(decomp), comm_(comm),
-      slabBuffers_(static_cast<std::size_t>(decomp.rankCount()) * 6) {
+      slabBuffers_(static_cast<std::size_t>(decomp.rankCount()) * 6),
+      fullReceived_(static_cast<std::size_t>(decomp.rankCount()), 0) {
   // Axes decomposed across at least two ranks exchange slabs; an axis
   // with a single rank carries no ghost shell at all (the subdomain
   // already spans the whole period there), so flat grids like 2x2x1 are
@@ -75,9 +111,9 @@ GhostExchange::Box GhostExchange::sendBox(const Subdomain& sd, int axis,
 
 GhostExchange::Box GhostExchange::recvBox(const Subdomain& sd, int axis,
                                           int dir) const {
-  // The slab received from direction `dir` fills the ghost cells on the
-  // opposite... same side the data came from: data sent toward +1 lands
-  // in the receiver's low-side ghost.
+  // The slab that travelled toward `dir` fills the receiver's ghost
+  // cells on the side facing its sender: data sent toward +1 lands in
+  // the receiver's low-side ghost, data sent toward -1 in its high side.
   Box box = sendBox(sd, axis, dir);
   const Vec3i e = sd.extentCells();
   const int ga = axisOf(sd.ghostCellsVec(), axis);
@@ -92,16 +128,36 @@ GhostExchange::Box GhostExchange::recvBox(const Subdomain& sd, int axis,
 }
 
 void GhostExchange::sendSlabs(int rank, Subdomain& sd, int axis) {
+  const bool full = resyncRound_ || sd.resyncPending() ||
+                    fullReceived_[static_cast<std::size_t>(rank)] != 0;
   for (int dir : {-1, +1}) {
     Vec3i dirVec{};
     setAxis(dirVec, axis, dir);
     const int neighbor = decomp_.neighborRank(rank, dirVec);
     const Box box = sendBox(sd, axis, dir);
-    // Buffer the packed slab for ARQ: a retransmission must not re-read
-    // the sender's live species store, which another rank thread may be
-    // unpacking into by then (the 2-bit pages share words across sites).
+    // Buffer the payload for ARQ: a retransmission must not re-read the
+    // sender's live species store, which another rank thread may be
+    // unpacking into by then.
     std::vector<std::uint8_t>& buffer = slabBuffer(rank, axis, dir);
-    buffer = sd.packCellBox(box.lo, box.hi);
+    const std::size_t slabBytes = boxSites(box.lo, box.hi);
+    std::vector<Subdomain::BoxChange> changes;
+    if (!full) changes = sd.changesInBox(box.lo, box.hi);
+    if (full || changes.size() * kChangeBytes > slabBytes) {
+      resyncSlabs_.fetch_add(1, std::memory_order_relaxed);
+      const std::vector<std::uint8_t> slab = sd.packCellBox(box.lo, box.hi);
+      buffer.assign(1, kFullSlab);
+      buffer.insert(buffer.end(), slab.begin(), slab.end());
+    } else {
+      changeSites_.fetch_add(changes.size(), std::memory_order_relaxed);
+      buffer.assign(1, kChangeList);
+      for (const Subdomain::BoxChange& change : changes) {
+        buffer.push_back(static_cast<std::uint8_t>(change.offset));
+        buffer.push_back(static_cast<std::uint8_t>(change.offset >> 8));
+        buffer.push_back(static_cast<std::uint8_t>(change.offset >> 16));
+        buffer.push_back(static_cast<std::uint8_t>(change.offset >> 24));
+        buffer.push_back(static_cast<std::uint8_t>(change.species));
+      }
+    }
     comm_.send(rank, neighbor, kTagBase + axis * 2 + (dir > 0 ? 1 : 0),
                buffer);
   }
@@ -131,7 +187,17 @@ void GhostExchange::receiveSlabs(int rank, std::vector<Subdomain>& domains,
     for (;;) {
       try {
         const auto payload = comm_.receive(rank, source, tag);
-        sd.unpackCellBox(box.lo, box.hi, payload);
+        const std::size_t sites = boxSites(box.lo, box.hi);
+        if (!payload.empty() && payload[0] == kChangeList) {
+          sd.applyChanges(box.lo, box.hi, decodeChanges(payload, sites));
+        } else if (payload.size() == 1 + sites && payload[0] == kFullSlab) {
+          sd.unpackCellBox(box.lo, box.hi,
+                           std::vector<std::uint8_t>(payload.begin() + 1,
+                                                     payload.end()));
+          fullReceived_[static_cast<std::size_t>(rank)] = 1;
+        } else {
+          throw CommError("malformed ghost slab");
+        }
         break;
       } catch (const CommError&) {
         // Purge the failed channel so the retransmission gets a fresh
@@ -182,6 +248,14 @@ void GhostExchange::exchangeAll(std::vector<Subdomain>& domains,
   require(static_cast<int>(domains.size()) == decomp_.rankCount(),
           "one subdomain per rank required");
   TKMC_SPAN("engine.ghost_exchange");
+  const std::uint64_t resyncBefore = resyncSlabs();
+  const std::uint64_t sitesBefore = changeSites();
+  resyncRound_ = false;
+  for (int r = 0; r < decomp_.rankCount(); ++r)
+    if (comm_.rankAlive(r) &&
+        domains[static_cast<std::size_t>(r)].resyncPending())
+      resyncRound_ = true;
+  std::fill(fullReceived_.begin(), fullReceived_.end(), 0);
   for (int axis : {2, 1, 0}) {
     // Single-rank axes carry no ghost shell: nothing to exchange.
     if (axisOf(decomp_.rankGrid(), axis) < 2) continue;
@@ -209,6 +283,15 @@ void GhostExchange::exchangeAll(std::vector<Subdomain>& domains,
       if (!comm_.rankAlive(r)) continue;
       receiveSlabs(r, domains, axis);
     }
+  }
+  for (Subdomain& sd : domains) sd.clearChanges();
+  if (telemetry::enabled()) {
+    telemetry::metrics()
+        .counter("ghost.resync_slabs")
+        .add(resyncSlabs() - resyncBefore);
+    telemetry::metrics()
+        .counter("ghost.change_sites")
+        .add(changeSites() - sitesBefore);
   }
 }
 

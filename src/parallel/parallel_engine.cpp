@@ -899,6 +899,7 @@ void ParallelEngine::takeSnapshot() {
 
 void ParallelEngine::restoreSnapshot() {
   domains_ = snapshot_.domains;
+  for (Subdomain& sd : domains_) sd.requestResync();
   for (std::size_t i = 0; i < rngs_.size(); ++i)
     rngs_[i].setState(snapshot_.rngStates[i]);
   time_ = snapshot_.time;

@@ -1,5 +1,7 @@
 #include "parallel/rank_team.hpp"
 
+#include <utility>
+
 #include "common/error.hpp"
 
 namespace tkmc {
@@ -39,8 +41,11 @@ void RankTeam::workerLoop(int rank) {
       error = std::current_exception();
     }
     {
+      // Move, not copy: the worker must drop its reference under the
+      // lock, so the exception is released on the thread that rethrows
+      // it rather than raced against by a late worker-side release.
       std::lock_guard<std::mutex> lock(mutex_);
-      errors_[static_cast<std::size_t>(rank)] = error;
+      errors_[static_cast<std::size_t>(rank)] = std::move(error);
       --remaining_;
     }
     done_.notify_one();

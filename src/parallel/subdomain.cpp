@@ -1,5 +1,8 @@
 #include "parallel/subdomain.hpp"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/error.hpp"
 
 namespace tkmc {
@@ -16,6 +19,11 @@ bool shiftInto(int v, int lo, int span, int period, int& out) {
   return true;
 }
 
+std::size_t boxSites(Vec3i lo, Vec3i hi) {
+  return static_cast<std::size_t>(hi.x - lo.x) * (hi.y - lo.y) *
+         (hi.z - lo.z) * 2;
+}
+
 }  // namespace
 
 Subdomain::Subdomain(const BccLattice& global, Vec3i originCells,
@@ -29,9 +37,10 @@ Subdomain::Subdomain(const BccLattice& global, Vec3i originCells,
   extOriginDoubled_ = {2 * (originCells.x - ghostCells.x),
                        2 * (originCells.y - ghostCells.y),
                        2 * (originCells.z - ghostCells.z)};
-  extSpanDoubled_ = {2 * (extentCells.x + 2 * ghostCells.x),
-                     2 * (extentCells.y + 2 * ghostCells.y),
-                     2 * (extentCells.z + 2 * ghostCells.z)};
+  extCells_ = {extentCells.x + 2 * ghostCells.x,
+               extentCells.y + 2 * ghostCells.y,
+               extentCells.z + 2 * ghostCells.z};
+  extSpanDoubled_ = {2 * extCells_.x, 2 * extCells_.y, 2 * extCells_.z};
   require(extSpanDoubled_.x <= 2 * global.cellsX() &&
               extSpanDoubled_.y <= 2 * global.cellsY() &&
               extSpanDoubled_.z <= 2 * global.cellsZ(),
@@ -72,6 +81,28 @@ void Subdomain::set(Vec3i p, Species s) {
   const auto [f, ok] = toFrame(p);
   require(ok, "coordinate outside this subdomain's extended frame");
   species_[static_cast<std::size_t>(indexer_.indexOf(f))] = s;
+  if (indexer_.isLocal(f)) recordChange(f);
+}
+
+void Subdomain::recordChange(Vec3i f) {
+  if (resync_) return;  // full slabs will carry every site anyway
+  if (changes_.size() >= species_.size()) {
+    // More entries than sites: a full resync is cheaper to send.
+    changes_.clear();
+    resync_ = true;
+    return;
+  }
+  const int cx = (f.x - extOriginDoubled_.x) >> 1;
+  const int cy = (f.y - extOriginDoubled_.y) >> 1;
+  const int cz = (f.z - extOriginDoubled_.z) >> 1;
+  const auto cell = static_cast<std::uint32_t>(
+      cx + extCells_.x * (cy + extCells_.y * cz));
+  changes_.push_back(cell * 2 + static_cast<std::uint32_t>(f.x & 1));
+}
+
+void Subdomain::clearChanges() {
+  changes_.clear();
+  resync_ = false;
 }
 
 Vec3i Subdomain::frameSite(Vec3i cell, int sub) const {
@@ -80,18 +111,45 @@ Vec3i Subdomain::frameSite(Vec3i cell, int sub) const {
           extOriginDoubled_.z + 2 * cell.z + sub};
 }
 
-void Subdomain::loadFrom(const LatticeState& state) {
+template <typename Fn>
+void Subdomain::forEachRun(Vec3i lo, Vec3i hi, Fn&& fn) const {
   const Vec3i g = ghostCellsVec();
-  const Vec3i extCells{extentCells().x + 2 * g.x, extentCells().y + 2 * g.y,
-                       extentCells().z + 2 * g.z};
-  for (int cz = 0; cz < extCells.z; ++cz)
-    for (int cy = 0; cy < extCells.y; ++cy)
-      for (int cx = 0; cx < extCells.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx, cy, cz}, sub);
-          species_[static_cast<std::size_t>(indexer_.indexOf(f))] =
-              state.speciesAt(f);
-        }
+  const Vec3i e = extentCells();
+  // Along an owned row the storage class flips at these x cells.
+  const int splits[2] = {g.x, g.x + e.x};
+  std::size_t offset = 0;
+  for (int cz = lo.z; cz < hi.z; ++cz) {
+    const bool planeOwned = cz >= g.z && cz < g.z + e.z;
+    for (int cy = lo.y; cy < hi.y; ++cy) {
+      const bool rowOwned = planeOwned && cy >= g.y && cy < g.y + e.y;
+      for (int x0 = lo.x; x0 < hi.x;) {
+        int x1 = hi.x;
+        if (rowOwned)
+          for (int split : splits)
+            if (split > x0) x1 = std::min(x1, split);
+        const Vec3i first{x0, cy, cz};
+        const auto slot =
+            static_cast<std::size_t>(indexer_.indexOf(frameSite(first, 0)));
+        const auto sites = static_cast<std::size_t>(2 * (x1 - x0));
+        fn(first, slot, sites, offset);
+        offset += sites;
+        x0 = x1;
+      }
+    }
+  }
+}
+
+void Subdomain::loadFrom(const LatticeState& state) {
+  forEachRun({0, 0, 0}, extCells_,
+             [&](Vec3i first, std::size_t slot, std::size_t sites,
+                 std::size_t) {
+               for (std::size_t i = 0; i < sites; ++i)
+                 species_[slot + i] = state.speciesAt(frameSite(
+                     {first.x + static_cast<int>(i / 2), first.y, first.z},
+                     static_cast<int>(i & 1)));
+             });
+  changes_.clear();
+  resync_ = true;
   rescanVacancies();
 }
 
@@ -99,46 +157,81 @@ void Subdomain::rescanVacancies() {
   vacancies_.clear();
   const Vec3i e = extentCells();
   const Vec3i g = ghostCellsVec();
-  for (int cz = 0; cz < e.z; ++cz)
-    for (int cy = 0; cy < e.y; ++cy)
-      for (int cx = 0; cx < e.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx + g.x, cy + g.y, cz + g.z}, sub);
-          if (species_[static_cast<std::size_t>(indexer_.indexOf(f))] ==
-              Species::kVacancy)
-            vacancies_.push_back(global_.wrap(f));
-        }
+  forEachRun(g, {g.x + e.x, g.y + e.y, g.z + e.z},
+             [&](Vec3i first, std::size_t slot, std::size_t sites,
+                 std::size_t) {
+               for (std::size_t i = 0; i < sites; ++i)
+                 if (species_[slot + i] == Species::kVacancy)
+                   vacancies_.push_back(global_.wrap(frameSite(
+                       {first.x + static_cast<int>(i / 2), first.y, first.z},
+                       static_cast<int>(i & 1))));
+             });
 }
 
 std::vector<std::uint8_t> Subdomain::packCellBox(Vec3i lo, Vec3i hi) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(hi.x - lo.x) * (hi.y - lo.y) *
-              (hi.z - lo.z) * 2);
-  for (int cz = lo.z; cz < hi.z; ++cz)
-    for (int cy = lo.y; cy < hi.y; ++cy)
-      for (int cx = lo.x; cx < hi.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx, cy, cz}, sub);
-          out.push_back(static_cast<std::uint8_t>(
-              species_[static_cast<std::size_t>(indexer_.indexOf(f))]));
-        }
+  std::vector<std::uint8_t> out(boxSites(lo, hi));
+  forEachRun(lo, hi,
+             [&](Vec3i, std::size_t slot, std::size_t sites,
+                 std::size_t offset) {
+               std::memcpy(out.data() + offset, species_.data() + slot, sites);
+             });
   return out;
 }
 
 void Subdomain::unpackCellBox(Vec3i lo, Vec3i hi,
                               const std::vector<std::uint8_t>& data) {
-  const std::size_t expected = static_cast<std::size_t>(hi.x - lo.x) *
-                               (hi.y - lo.y) * (hi.z - lo.z) * 2;
-  require(data.size() == expected, "ghost payload has wrong size");
-  std::size_t i = 0;
-  for (int cz = lo.z; cz < hi.z; ++cz)
-    for (int cy = lo.y; cy < hi.y; ++cy)
-      for (int cx = lo.x; cx < hi.x; ++cx)
-        for (int sub = 0; sub < 2; ++sub) {
-          const Vec3i f = frameSite({cx, cy, cz}, sub);
-          species_[static_cast<std::size_t>(indexer_.indexOf(f))] =
-              static_cast<Species>(data[i++]);
-        }
+  require(data.size() == boxSites(lo, hi), "ghost payload has wrong size");
+  forEachRun(lo, hi,
+             [&](Vec3i, std::size_t slot, std::size_t sites,
+                 std::size_t offset) {
+               std::memcpy(species_.data() + slot, data.data() + offset, sites);
+             });
+}
+
+std::vector<Subdomain::BoxChange> Subdomain::changesInBox(Vec3i lo,
+                                                          Vec3i hi) const {
+  std::vector<BoxChange> out;
+  const int bx = hi.x - lo.x;
+  const int by = hi.y - lo.y;
+  for (const std::uint32_t id : changes_) {
+    const auto cell = static_cast<int>(id / 2);
+    const int sub = static_cast<int>(id & 1);
+    const Vec3i c{cell % extCells_.x, (cell / extCells_.x) % extCells_.y,
+                  cell / (extCells_.x * extCells_.y)};
+    if (c.x < lo.x || c.x >= hi.x || c.y < lo.y || c.y >= hi.y ||
+        c.z < lo.z || c.z >= hi.z)
+      continue;
+    const int boxCell = (c.x - lo.x) + bx * ((c.y - lo.y) + by * (c.z - lo.z));
+    out.push_back({static_cast<std::uint32_t>(2 * boxCell + sub),
+                   species_[static_cast<std::size_t>(
+                       indexer_.indexOf(frameSite(c, sub)))]});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const BoxChange& a, const BoxChange& b) {
+              return a.offset < b.offset;
+            });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const BoxChange& a, const BoxChange& b) {
+                          return a.offset == b.offset;
+                        }),
+            out.end());
+  return out;
+}
+
+void Subdomain::applyChanges(Vec3i lo, Vec3i hi,
+                             const std::vector<BoxChange>& changes) {
+  const std::size_t sites = boxSites(lo, hi);
+  const int bx = hi.x - lo.x;
+  const int by = hi.y - lo.y;
+  for (const BoxChange& change : changes) {
+    require(change.offset < sites, "ghost change outside its cell box");
+    const auto boxCell = static_cast<int>(change.offset / 2);
+    const Vec3i c{lo.x + boxCell % bx, lo.y + (boxCell / bx) % by,
+                  lo.z + boxCell / (bx * by)};
+    const Vec3i f = frameSite(c, static_cast<int>(change.offset & 1));
+    species_[static_cast<std::size_t>(indexer_.indexOf(f))] = change.species;
+    recordChange(f);
+  }
 }
 
 }  // namespace tkmc

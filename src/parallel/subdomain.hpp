@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "lattice/bcc_lattice.hpp"
@@ -15,8 +16,22 @@ namespace tkmc {
 /// coordinates; the subdomain translates them into its unwrapped extended
 /// frame by choosing the periodic image that lands inside the frame
 /// (unique as long as the extended box is smaller than the global box).
+///
+/// For the incremental ghost exchange the subdomain keeps a change list:
+/// every owned site written through set() since the last completed
+/// exchange, plus every ghost site received as a change during the
+/// current one. A resync flag, raised by construction and loadFrom(),
+/// tells the exchange that the change list cannot describe the state and
+/// full slabs must be sent instead.
 class Subdomain {
  public:
+  /// One changed site of a cell box. `offset` is the site's position in
+  /// packCellBox() order for that box.
+  struct BoxChange {
+    std::uint32_t offset;
+    Species species;
+  };
+
   Subdomain(const BccLattice& global, Vec3i originCells, Vec3i extentCells,
             int ghostCells);
   /// Per-axis ghost widths: an axis whose rank grid is 1 carries no
@@ -35,9 +50,12 @@ class Subdomain {
   bool owns(Vec3i globalCoord) const;
 
   Species at(Vec3i globalCoord) const;
+  /// Writes a site. Owned sites join the change list; ghost writes do
+  /// not (the owner records the same site when the change folds back).
   void set(Vec3i globalCoord, Species s);
 
-  /// Copies owned + ghost species from a full global state (startup).
+  /// Copies owned + ghost species from a full global state (startup,
+  /// recovery) and raises the resync flag.
   void loadFrom(const LatticeState& state);
 
   /// Owned vacancies, wrapped global coordinates, stable order.
@@ -55,6 +73,23 @@ class Subdomain {
   /// Unpacks a payload produced by packCellBox() for the same-shaped box.
   void unpackCellBox(Vec3i lo, Vec3i hi, const std::vector<std::uint8_t>& data);
 
+  /// Changed sites inside the cell box [lo, hi) with their current
+  /// species, sorted by offset and de-duplicated.
+  std::vector<BoxChange> changesInBox(Vec3i lo, Vec3i hi) const;
+
+  /// Writes changes received for the cell box [lo, hi) (offsets as
+  /// produced by changesInBox() on a same-shaped box) and records the
+  /// written sites as changed, so later exchange stages forward them.
+  void applyChanges(Vec3i lo, Vec3i hi, const std::vector<BoxChange>& changes);
+
+  /// True when the next ghost exchange must send full slabs.
+  bool resyncPending() const { return resync_; }
+  void requestResync() { resync_ = true; }
+
+  /// Forgets the change list and the resync flag (end of a completed
+  /// ghost exchange).
+  void clearChanges();
+
   Vec3i originCells() const { return indexer_.originCells(); }
   Vec3i extentCells() const { return indexer_.extentCells(); }
   int ghostCells() const { return indexer_.ghostCells(); }
@@ -69,12 +104,30 @@ class Subdomain {
   /// to the extended origin, sublattice sub.
   Vec3i frameSite(Vec3i cell, int sub) const;
 
+  /// Calls fn(firstCell, slot, sites, offset) for each run of cells in
+  /// the box [lo, hi) that share a storage class (all owned or all
+  /// ghost) along x. `slot` is the array slot of the run's first site,
+  /// `sites` the run length in sites, and `offset` the position of the
+  /// first site in packCellBox() order. Slots are contiguous within a
+  /// run, so the indexer is consulted once per run instead of per site.
+  template <typename Fn>
+  void forEachRun(Vec3i lo, Vec3i hi, Fn&& fn) const;
+
+  /// Appends the frame site to the change list unless a resync is
+  /// already pending; an overlong list degrades to a resync.
+  void recordChange(Vec3i frameCoord);
+
   BccLattice global_;
   SiteIndexer indexer_;
   Vec3i extOriginDoubled_;
   Vec3i extSpanDoubled_;
+  Vec3i extCells_;  // extent + 2 * ghost
   std::vector<Species> species_;
   std::vector<Vec3i> vacancies_;
+  // Extended-frame traversal ids (cell index * 2 + sublattice, cells
+  // x-fastest) of the sites changed since the last exchange; may repeat.
+  std::vector<std::uint32_t> changes_;
+  bool resync_ = true;
 };
 
 }  // namespace tkmc

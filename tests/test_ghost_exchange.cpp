@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 
 namespace tkmc {
@@ -140,6 +144,217 @@ TEST(GhostExchange, SingleRankAxisIsSkipped) {
                 << ") sub " << sub;
           }
   }
+}
+
+
+// --- Incremental exchange -----------------------------------------------
+
+struct World {
+  World(int cells, Vec3i grid, std::uint64_t seed)
+      : lat(cells, cells, cells, 2.87), global(lat),
+        decomp({cells, cells, cells}, grid), comm(decomp.rankCount()),
+        exchange(decomp, comm) {
+    Rng rng(seed);
+    global.randomAlloy(0.3, 9, rng);
+    const Vec3i ghost{grid.x > 1 ? 2 : 0, grid.y > 1 ? 2 : 0,
+                      grid.z > 1 ? 2 : 0};
+    for (int r = 0; r < decomp.rankCount(); ++r) {
+      domains.emplace_back(lat, decomp.originCells(r), decomp.extentCells(),
+                           ghost);
+      domains.back().loadFrom(global);
+    }
+  }
+
+  // Bytes one exchangeAll() puts on the wire.
+  std::uint64_t exchangeBytes(RankTeam* team = nullptr) {
+    const std::uint64_t before = comm.totalBytesSent();
+    exchange.exchangeAll(domains, team);
+    return comm.totalBytesSent() - before;
+  }
+
+  // Writes `s` at `site` on its owner and in the reference state.
+  void setOwned(Vec3i site, Species s) {
+    domains[static_cast<std::size_t>(decomp.ownerOfSite(site))].set(site, s);
+    global.setSpeciesAt(site, s);
+  }
+
+  // A uniformly random owned site of rank r (wrapped global coordinate).
+  Vec3i randomOwnedSite(int r, Rng& rng) const {
+    const Vec3i o = decomp.originCells(r);
+    const Vec3i e = decomp.extentCells();
+    const auto pick = [&](int n) {
+      return static_cast<int>(rng.uniform() * n);
+    };
+    const int sub = pick(2);
+    return lat.wrap({2 * (o.x + pick(e.x)) + sub, 2 * (o.y + pick(e.y)) + sub,
+                     2 * (o.z + pick(e.z)) + sub});
+  }
+
+  // Every owned and ghost site of every rank against `reference`.
+  ::testing::AssertionResult matches(const LatticeState& reference) const {
+    for (int r = 0; r < decomp.rankCount(); ++r) {
+      const Subdomain& sd = domains[static_cast<std::size_t>(r)];
+      const Vec3i o = decomp.originCells(r);
+      const Vec3i e = sd.extentCells();
+      const Vec3i g = sd.ghostCellsVec();
+      for (int cz = -g.z; cz < e.z + g.z; ++cz)
+        for (int cy = -g.y; cy < e.y + g.y; ++cy)
+          for (int cx = -g.x; cx < e.x + g.x; ++cx)
+            for (int sub = 0; sub < 2; ++sub) {
+              const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
+                            2 * (o.z + cz) + sub};
+              if (sd.at(p) != reference.speciesAt(lat.wrap(p)))
+                return ::testing::AssertionFailure()
+                       << "rank " << r << " cell (" << cx << "," << cy << ","
+                       << cz << ") sub " << sub;
+            }
+    }
+    return ::testing::AssertionSuccess();
+  }
+  ::testing::AssertionResult matchesGlobal() const { return matches(global); }
+
+  BccLattice lat;
+  LatticeState global;
+  Decomposition decomp;
+  SimComm comm;
+  GhostExchange exchange;
+  std::vector<Subdomain> domains;
+};
+
+const Species kSpecies[3] = {Species::kFe, Species::kCu, Species::kVacancy};
+
+// Random owned writes on every rank, an exchange after each round: every
+// ghost stays exact, and after the first (full) round each round costs a
+// small fraction of its bytes — with and without rank threads.
+TEST(IncrementalGhostExchange, RandomOwnedWritesStayExactAndCheap) {
+  for (const Vec3i grid : {Vec3i{2, 2, 2}, Vec3i{2, 2, 1}, Vec3i{2, 1, 1}})
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE("grid " + std::to_string(grid.x) + "x" +
+                   std::to_string(grid.y) + "x" + std::to_string(grid.z) +
+                   (threaded ? " threaded" : " in-process"));
+      World w(16, grid, 21);
+      std::unique_ptr<RankTeam> team;
+      if (threaded) team = std::make_unique<RankTeam>(w.decomp.rankCount());
+      Rng rng(22);
+      std::uint64_t firstBytes = 0;
+      for (int round = 0; round < 30; ++round) {
+        for (int r = 0; r < w.decomp.rankCount(); ++r)
+          for (int k = 0; k < 2; ++k)
+            w.setOwned(w.randomOwnedSite(r, rng),
+                       kSpecies[static_cast<int>(rng.uniform() * 3)]);
+        const std::uint64_t bytes = w.exchangeBytes(team.get());
+        ASSERT_TRUE(w.matchesGlobal()) << "round " << round;
+        if (round == 0) {
+          firstBytes = bytes;
+          // Construction asked for a resync: every slab went out full.
+          EXPECT_EQ(w.exchange.resyncSlabs(), w.comm.totalMessagesSent());
+        } else {
+          EXPECT_LT(bytes * 20, firstBytes)
+              << "round " << round << ": " << bytes << " of " << firstBytes;
+        }
+      }
+      EXPECT_EQ(w.exchange.resyncSlabs(), w.comm.totalMessagesSent() / 30);
+      EXPECT_GT(w.exchange.changeSites(), 0u);
+    }
+}
+
+// A change in the (+x,+y,+z) corner cell of rank 0 reaches every other
+// rank of a 2x2x2 grid through the staged relays.
+TEST(IncrementalGhostExchange, CornerChangeReachesAllSevenNeighbours) {
+  World w(12, {2, 2, 2}, 23);
+  w.exchange.exchangeAll(w.domains);  // initial full resync
+  const std::uint64_t fullSlabs = w.exchange.resyncSlabs();
+  const Vec3i corner{11, 11, 11};  // cell (5,5,5), the last owned by rank 0
+  ASSERT_EQ(w.decomp.ownerOfSite(corner), 0);
+  const Species updated =
+      w.global.speciesAt(corner) == Species::kCu ? Species::kFe : Species::kCu;
+  w.setOwned(corner, updated);
+  w.exchange.exchangeAll(w.domains);
+  EXPECT_EQ(w.exchange.resyncSlabs(), fullSlabs);  // change lists only
+  for (int r = 1; r < 8; ++r) {
+    ASSERT_TRUE(w.domains[static_cast<std::size_t>(r)].covers(corner));
+    EXPECT_EQ(w.domains[static_cast<std::size_t>(r)].at(corner), updated)
+        << "rank " << r;
+  }
+  EXPECT_TRUE(w.matchesGlobal());
+}
+
+// A rank that rewrites its whole owned region has change lists larger
+// than its slabs, so it sends them in full; the ranks that receive a
+// full slab must forward full slabs too, or edges and corners go stale.
+TEST(IncrementalGhostExchange, OversizedChangeListsGoFullAndAreForwarded) {
+  World w(12, {2, 2, 2}, 30);
+  w.exchange.exchangeAll(w.domains);
+  const std::uint64_t fullSlabs = w.exchange.resyncSlabs();
+  Rng rng(31);
+  const Vec3i o = w.decomp.originCells(0);
+  const Vec3i e = w.decomp.extentCells();
+  for (int cz = 0; cz < e.z; ++cz)
+    for (int cy = 0; cy < e.y; ++cy)
+      for (int cx = 0; cx < e.x; ++cx)
+        for (int sub = 0; sub < 2; ++sub)
+          w.setOwned({2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
+                      2 * (o.z + cz) + sub},
+                     kSpecies[static_cast<int>(rng.uniform() * 3)]);
+  w.exchange.exchangeAll(w.domains);
+  EXPECT_GT(w.exchange.resyncSlabs(), fullSlabs);
+  EXPECT_TRUE(w.matchesGlobal());
+}
+
+// Reloading one subdomain mid-run with different data forces a resync:
+// its neighbours' ghosts pick up the new owned data and its own ghosts
+// are restored from their owners.
+TEST(IncrementalGhostExchange, ReloadedSubdomainResyncsItsNeighbours) {
+  World w(16, {2, 2, 2}, 24);
+  Rng rng(25);
+  for (int round = 0; round < 3; ++round) {
+    w.setOwned(w.randomOwnedSite(round, rng), Species::kVacancy);
+    w.exchange.exchangeAll(w.domains);
+  }
+  ASSERT_TRUE(w.matchesGlobal());
+  LatticeState other(w.lat);
+  Rng otherRng(26);
+  other.randomAlloy(0.5, 20, otherRng);
+  const int reloaded = 3;
+  LatticeState expected = w.global;
+  other.forEachSite([&](LatticeState::SiteId id, Species s) {
+    if (w.decomp.ownerOfSite(w.lat.coordinate(id)) == reloaded)
+      expected.setSpecies(id, s);
+  });
+  const std::uint64_t fullBefore = w.exchange.resyncSlabs();
+  w.domains[static_cast<std::size_t>(reloaded)].loadFrom(other);
+  w.exchange.exchangeAll(w.domains);
+  EXPECT_GT(w.exchange.resyncSlabs(), fullBefore);
+  EXPECT_TRUE(w.matches(expected));
+  // The resync is one round only; the next runs on change lists again.
+  const std::uint64_t fullAfter = w.exchange.resyncSlabs();
+  w.exchange.exchangeAll(w.domains);
+  EXPECT_EQ(w.exchange.resyncSlabs(), fullAfter);
+  EXPECT_TRUE(w.matches(expected));
+}
+
+// A dropped and a corrupted change-list slab are absorbed by ARQ from
+// the sender's buffered payload.
+TEST(IncrementalGhostExchange, ArqAbsorbsDroppedAndCorruptedChangeLists) {
+  World w(16, {2, 2, 2}, 27);
+  w.exchange.exchangeAll(w.domains);
+  const std::uint64_t fullSlabs = w.exchange.resyncSlabs();
+  Rng rng(28);
+  for (int r = 0; r < w.decomp.rankCount(); ++r)
+    for (int k = 0; k < 4; ++k)
+      w.setOwned(w.randomOwnedSite(r, rng), Species::kCu);
+  FaultInjector inj(29);
+  inj.armSchedule("comm.drop", {3});
+  inj.armSchedule("comm.corrupt", {7});
+  {
+    FaultScope scope(inj);
+    w.exchange.exchangeAll(w.domains);
+  }
+  EXPECT_EQ(inj.fireCount("comm.drop"), 1u);
+  EXPECT_EQ(inj.fireCount("comm.corrupt"), 1u);
+  EXPECT_GE(w.exchange.retries(), 1u);
+  EXPECT_EQ(w.exchange.resyncSlabs(), fullSlabs);
+  EXPECT_TRUE(w.matchesGlobal());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "kmc/eam_energy_model.hpp"
 #include "kmc/nnp_energy_model.hpp"
 #include "tabulation/feature_table.hpp"
@@ -206,6 +207,33 @@ TEST(ParallelEngine, CommTrafficIsRecorded) {
   EXPECT_GT(engine.comm().totalMessagesSent(), 0u);
 }
 
+// The incremental ghost exchange must not drift: with the full ghost
+// sweep armed every cycle, 40 cycles stay consistent without a single
+// invariant trip, while the steady-state traffic stays a small fraction
+// of the first cycle's full-slab resync.
+TEST(ParallelEngine, IncrementalGhostExchangeDoesNotDrift) {
+  ParallelWorld w(18);
+  EamEnergyModel model(w.cet, w.net, w.eam);
+  ParallelConfig cfg = fastConfig(27);
+  cfg.invariantCadence = 1;
+  ParallelEngine engine(w.state, model, w.cet, cfg);
+  std::uint64_t firstBytes = 0;
+  for (int c = 0; c < 40; ++c) {
+    const std::uint64_t before = engine.comm().totalBytesSent();
+    engine.runCycle();
+    ASSERT_TRUE(engine.ghostsConsistent()) << "cycle " << c;
+    const std::uint64_t bytes = engine.comm().totalBytesSent() - before;
+    if (c == 0)
+      firstBytes = bytes;
+    else
+      EXPECT_LT(bytes * 10, firstBytes)
+          << "cycle " << c << ": " << bytes << " of " << firstBytes;
+  }
+  EXPECT_GT(engine.totalEvents(), 0u);
+  EXPECT_EQ(engine.recoveryStats().invariantTrips, 0u);
+  EXPECT_EQ(engine.recoveryStats().rollbacks, 0u);
+}
+
 // --- Fault tolerance: cycle rollback, comm retry, invariant monitors ---
 
 TEST(ParallelEngineFaults, RecoveryOnAndOffAreBitIdenticalWhenDisarmed) {
@@ -311,6 +339,41 @@ TEST(ParallelEngineFaults, ReplayedCycleMatchesUnfaultedTrajectory) {
   EXPECT_TRUE(ea.assembleGlobalState() == eb.assembleGlobalState());
   EXPECT_EQ(ea.assembleGlobalState().contentHash(),
             eb.assembleGlobalState().contentHash());
+}
+
+TEST(ParallelEngineFaults, ReplayedCycleResyncsGhostsInFull) {
+  // A rollback restores snapshot subdomains whose change lists say
+  // nothing about the replay, so the replayed cycle must send every
+  // ghost slab in full — and still follow the unfaulted trajectory.
+  telemetry::ScopedEnable telemetryOn;
+  ParallelWorld a(19), b(19);
+  EamEnergyModel ma(a.cet, a.net, a.eam), mb(b.cet, b.net, b.eam);
+  ParallelEngine faulted(a.state, ma, a.cet, fastConfig(28));
+  ParallelEngine clean(b.state, mb, b.cet, fastConfig(28));
+  const auto fullSlabs = static_cast<std::uint64_t>(6 * faulted.rankCount());
+  const auto resyncSlabs = [] {
+    return telemetry::metrics().counter("ghost.resync_slabs").value();
+  };
+  FaultInjector inj(30);
+  inj.armSchedule("engine.cycle", {5});  // the fifth cycle trips once
+  for (int c = 0; c < 8; ++c) {
+    std::uint64_t before = resyncSlabs();
+    {
+      FaultScope scope(inj);
+      faulted.runCycle();
+    }
+    const std::uint64_t faultedSlabs = resyncSlabs() - before;
+    before = resyncSlabs();
+    clean.runCycle();
+    const std::uint64_t cleanSlabs = resyncSlabs() - before;
+    EXPECT_EQ(faultedSlabs, c == 0 || c == 4 ? fullSlabs : 0u) << "cycle " << c;
+    EXPECT_EQ(cleanSlabs, c == 0 ? fullSlabs : 0u) << "cycle " << c;
+  }
+  EXPECT_EQ(faulted.recoveryStats().rollbacks, 1u);
+  EXPECT_TRUE(faulted.ghostsConsistent());
+  EXPECT_EQ(faulted.totalEvents(), clean.totalEvents());
+  EXPECT_EQ(faulted.assembleGlobalState().contentHash(),
+            clean.assembleGlobalState().contentHash());
 }
 
 TEST(ParallelEngineFaults, WithoutRecoveryTheSameFaultAborts) {

@@ -121,6 +121,33 @@ TEST(ThreadedEngine, MatchesInProcessBackendBitExactly) {
   }
 }
 
+TEST(ThreadedEngine, IncrementalGhostExchangeDoesNotDriftUnderRankThreads) {
+  // Change lists are written from the rank threads (sector hops, fold
+  // apply, ghost receives); 40 cycles with the full ghost sweep every
+  // cycle must trip nothing, and after the first cycle's full resync
+  // the traffic stays a small fraction of it.
+  ParallelWorld w(53);
+  EamEnergyModel model(w.cet, w.net, w.eam);
+  ParallelConfig cfg = basicConfig(63, {2, 2, 1}, /*threaded=*/true);
+  cfg.invariantCadence = 1;
+  ParallelEngine engine(w.state, model, w.cet, cfg);
+  std::uint64_t firstBytes = 0;
+  for (int c = 0; c < 40; ++c) {
+    const std::uint64_t before = engine.comm().totalBytesSent();
+    engine.runCycle();
+    ASSERT_TRUE(engine.ghostsConsistent()) << "cycle " << c;
+    const std::uint64_t bytes = engine.comm().totalBytesSent() - before;
+    if (c == 0)
+      firstBytes = bytes;
+    else
+      EXPECT_LT(bytes * 10, firstBytes)
+          << "cycle " << c << ": " << bytes << " of " << firstBytes;
+  }
+  EXPECT_GT(engine.totalEvents(), 0u);
+  EXPECT_EQ(engine.recoveryStats().invariantTrips, 0u);
+  EXPECT_EQ(engine.recoveryStats().rollbacks, 0u);
+}
+
 TEST(ThreadedEngine, ThreadedRunsAreReproducible) {
   const ParallelConfig cfg = basicConfig(62, {2, 2, 2}, /*threaded=*/true);
   const RunResult first = runEngine(52, cfg, 8);
