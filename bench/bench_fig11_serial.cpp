@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "common/stopwatch.hpp"
@@ -157,13 +158,55 @@ void runCutoff(double cutoff, const Network::Snapshot& snapshot) {
                                                   swOpt.totalMs());
 }
 
+// Paired, order-alternating estimate of how much slower `arm` runs than
+// `reference`, both returning the milliseconds one chunk of identical
+// work took. Machine drift on a shared host swamps a small per-call
+// delta over whole arms, but adjacent chunks see the same conditions, so
+// the per-round ratio is clean and the median sheds the rounds where
+// preemption hit only one arm. The arm order flips every round so a
+// systematic first/second-position bias (frequency ramps, timer
+// interrupts phase-locked to the round) hits both arms equally.
+struct PairedOverhead {
+  double frac = 0.0;  // max(0, median(arm / reference) - 1)
+  double bestReferenceMs = 1e300;
+  double bestArmMs = 1e300;
+};
+
+PairedOverhead measurePairedOverhead(const std::function<double()>& reference,
+                                     const std::function<double()>& arm,
+                                     int rounds) {
+  reference();  // warm both arms so neither pays first-touch costs
+  arm();
+  PairedOverhead result;
+  std::vector<double> ratios;
+  ratios.reserve(static_cast<std::size_t>(rounds));
+  for (int round = 0; round < rounds; ++round) {
+    double r, a;
+    if (round % 2 == 0) {
+      r = reference();
+      a = arm();
+    } else {
+      a = arm();
+      r = reference();
+    }
+    ratios.push_back(a / r);
+    result.bestReferenceMs = std::min(result.bestReferenceMs, r);
+    result.bestArmMs = std::min(result.bestArmMs, a);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + rounds / 2, ratios.end());
+  result.frac =
+      std::max(0.0, ratios[static_cast<std::size_t>(rounds / 2)] - 1.0);
+  return result;
+}
+
 // Flight-recorder overhead: the blackbox ring is always on in
-// production, so its cost rides on every propensity refresh. Re-run the
+// production, so its cost rides on every propensity refresh. Time the
 // SW(opt) refresh loop with the recorder enabled vs disabled, issuing
 // the same record() calls the serial engine makes per step (one refresh
-// event + one KMC event), and report the relative slowdown. Acceptance:
-// <= 5% (ISSUE 7); the gauge is excluded from the bench gate
-// (*overhead_pct* is ignored) because it is a timing ratio.
+// event + one KMC event), with the paired estimator above, one refresh
+// per timed chunk. Acceptance: <= 5%; `bench.fig11.blackbox_overhead_pct` is
+// gated by its own rule in tolerances.json, ahead of the *overhead_pct*
+// exemption.
 double measureOverheadPct(const Network::Snapshot& snapshot) {
   const Cet cet(2.87, kDefaultCutoff);
   const Net net(cet);
@@ -188,29 +231,26 @@ double measureOverheadPct(const Network::Snapshot& snapshot) {
   telemetry::FlightRecorder& rec = telemetry::flightRecorder();
   rec.configureRanks(1);
   const bool wasEnabled = rec.enabled();
-  const int reps = 8;
-  auto loop = [&](bool enabled) {
+  auto refresh = [&](bool enabled) {
     rec.setEnabled(enabled);
     Stopwatch sw;
-    for (int rep = 0; rep < reps; ++rep) {
-      featureOp.compute(vet, kNumJumpDirections, featuresF);
-      fusionOp.forward(featuresF.data(), m, energiesF.data());
-      rec.record(0, telemetry::BlackboxEventType::kPropensityRefresh, 0,
-                 static_cast<std::uint64_t>(m));
-      rec.record(0, telemetry::BlackboxEventType::kKmcEvent, 0,
-                 static_cast<std::uint64_t>(rep), 0);
-    }
-    return sw.milliseconds() / reps;
+    featureOp.compute(vet, kNumJumpDirections, featuresF);
+    fusionOp.forward(featuresF.data(), m, energiesF.data());
+    rec.record(0, telemetry::BlackboxEventType::kPropensityRefresh, 0,
+               static_cast<std::uint64_t>(m));
+    rec.record(0, telemetry::BlackboxEventType::kKmcEvent, 0, 0, 0);
+    return sw.milliseconds();
   };
-  loop(false);  // warm caches so neither arm pays first-touch costs
-  const double offMs = loop(false);
-  const double onMs = loop(true);
+  const int rounds = 61;
+  const PairedOverhead overhead = measurePairedOverhead(
+      [&] { return refresh(false); }, [&] { return refresh(true); }, rounds);
   rec.setEnabled(wasEnabled);
 
-  const double pct = (onMs - offMs) / offMs * 100.0;
-  std::printf("\nflight-recorder overhead on SW(opt) refresh: %.3f ms off, "
-              "%.3f ms on -> %+.2f%% (acceptance: <= 5%%)\n",
-              offMs, onMs, pct);
+  const double pct = overhead.frac * 100.0;
+  std::printf("\nflight-recorder overhead on SW(opt) refresh: best %.3f ms "
+              "off vs best %.3f ms on per refresh (median ratio over %d "
+              "rounds) -> %.2f%% (acceptance: <= 5%%)\n",
+              overhead.bestReferenceMs, overhead.bestArmMs, rounds, pct);
   telemetry::ScopedEnable record;
   telemetry::metrics().gauge("bench.fig11.blackbox_overhead_pct").set(pct);
   return pct;
@@ -265,52 +305,19 @@ double measureCatalogDispatchOverhead() {
     }
     return sw.milliseconds();
   };
-  timeDirect();  // warm both arms so neither pays first-touch costs
-  timeCatalog();
-  // Paired chunks with a median-of-ratios estimator: machine drift on a
-  // shared host swamps the per-call delta over whole arms, but adjacent
-  // chunks see the same conditions, so the per-round ratio is clean and
-  // the median discards preemption outliers. The arm order flips every
-  // round so a systematic first/second-position bias (frequency ramps,
-  // timer interrupts phase-locked to the round) cancels instead of
-  // shifting every ratio the same way.
   const int rounds = 31;
-  std::vector<double> ratios;
-  ratios.reserve(rounds);
-  double directMs = 1e300, catalogMs = 1e300;
-  for (int round = 0; round < rounds; ++round) {
-    // Alternate the arm order so a systematic first/second-position
-    // bias (frequency ramps, timer interrupts phase-locked to the
-    // round) hits both arms equally.
-    double d, c;
-    if (round % 2 == 0) {
-      d = timeDirect();
-      c = timeCatalog();
-    } else {
-      c = timeCatalog();
-      d = timeDirect();
-    }
-    ratios.push_back(c / d);
-    directMs = std::min(directMs, d);
-    catalogMs = std::min(catalogMs, c);
-  }
-  // Median of paired per-round ratios: the two arms of a round run
-  // back to back, so sustained load and frequency dips cancel inside
-  // each ratio, and the median sheds the rounds where preemption hit
-  // only one arm — per-arm minima taken across different moments drift
-  // apart on a busy single-core host.
-  std::nth_element(ratios.begin(), ratios.begin() + rounds / 2,
-                   ratios.end());
-  const double frac = std::max(0.0, ratios[rounds / 2] - 1.0);
+  const PairedOverhead overhead =
+      measurePairedOverhead(timeDirect, timeCatalog, rounds);
   std::printf("\ncatalog dispatch overhead: best direct %.3f ms vs best "
               "catalog %.3f ms per %d-refresh chunk (median ratio over "
               "%d rounds) -> %.4f (acceptance: <= 0.03)\n",
-              directMs, catalogMs, chunk, rounds, frac);
+              overhead.bestReferenceMs, overhead.bestArmMs, chunk, rounds,
+              overhead.frac);
   telemetry::ScopedEnable record;
   telemetry::metrics()
       .gauge("bench.fig11.catalog_dispatch_overhead_frac")
-      .set(frac);
-  return frac;
+      .set(overhead.frac);
+  return overhead.frac;
 }
 
 }  // namespace

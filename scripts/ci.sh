@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-command PR gate: the tier-1 verify (default build + full ctest
-# suite) followed by the sanitized configurations
+# suite), the bench gate, a quick end-to-end benchmark run (its
+# correctness checks) and the sanitized configurations
 # (scripts/run_sanitized.sh: ASan+UBSan over the fault-tolerance suite,
 # then a ThreadSanitizer smoke over the threaded-backend and concurrent-
 # singleton tests). Exits non-zero the moment any configuration fails,
@@ -53,6 +54,9 @@ python3 scripts/bench_gate.py \
   BENCH_memory_footprint.metrics.json \
   BENCH_threaded_scaling.metrics.json \
   BENCH_fig11_serial.metrics.json
+
+echo "==> end-to-end benchmark smoke: NNP hop-energy checks, EAM goldens (bench/e2e)"
+python3 bench/e2e/run.py --quick --build-dir "$BUILD_DIR/e2e"
 
 echo "==> sanitized: TKMC_SANITIZE=address;undefined"
 if [ -n "$SANITIZED_FILTER" ]; then

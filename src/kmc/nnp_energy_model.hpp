@@ -15,9 +15,12 @@ namespace tkmc {
 /// neural network potential.
 ///
 /// Per call: one VET gather (the only access to the big lattice array),
-/// tabulated feature evaluation for the initial and final states (Eq. 6),
-/// a batched network forward, and per-state sums over the jumping region
-/// with vacancy sites masked out.
+/// tabulated features (Eq. 6) for every region site of the initial state
+/// and for only the Net::affectedSites() of each final state, one network
+/// forward over those rows, and per-state sums over the jumping region
+/// with vacancy sites masked out. A final state's unaffected sites reuse
+/// the initial state's atomic energies: their features are bitwise the
+/// same, so every state energy is bit-identical to a full recompute.
 class NnpEnergyModel : public EnergyModel {
  public:
   /// All references must outlive the model.
@@ -31,10 +34,11 @@ class NnpEnergyModel : public EnergyModel {
   /// maintain VETs incrementally through the vacancy cache).
   std::vector<double> stateEnergiesFromVet(Vet& vet, int numFinal) override;
 
-  /// Batched evaluation: features of every system are concatenated and
+  /// Batched evaluation: the rows of every system are concatenated and
   /// put through one network forward. forwardBatch() is row-independent
   /// and the reductions run in the same order, so results are
-  /// bit-identical to per-system calls.
+  /// bit-identical to per-system calls. stateEnergiesFromVet() is this
+  /// routine on one system.
   std::vector<std::vector<double>> stateEnergiesBatch(
       std::span<Vet* const> vets, int numFinal) override;
 
@@ -49,10 +53,11 @@ class NnpEnergyModel : public EnergyModel {
   const Net& net_;
   const Network& network_;
   RegionFeatures features_;
+  std::vector<int> regionSiteIds_;  // 0 .. nRegion - 1
   // Scratch reused across calls.
   std::vector<double> featureBuffer_;
   std::vector<double> energyBuffer_;
-  std::vector<double> systemFeatureScratch_;  // one system, batched path
+  std::vector<double> stateAtomEnergies_;  // one state's [nRegion]
 };
 
 /// Species of CET site `siteId` in state `state` (0 = initial, k > 0 =

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 
+#include "common/constants.hpp"
 #include "common/error.hpp"
 #include "lattice/bcc_lattice.hpp"
 
@@ -35,6 +36,20 @@ Net::Net(const Cet& cet) {
       entries_.push_back({neighborId, normToIndex.at(d.norm2())});
     }
     offsets_.push_back(entries_.size());
+  }
+
+  affected_.resize(kNumJumpDirections);
+  for (int k = 0; k < kNumJumpDirections; ++k) {
+    const int target = Cet::jumpTargetId(k);
+    for (int id = 0; id < cet.nRegion(); ++id) {
+      const auto row = neighbors(id);
+      const bool touched =
+          id == 0 || id == target ||
+          std::any_of(row.begin(), row.end(), [&](const Entry& e) {
+            return e.siteId == 0 || e.siteId == target;
+          });
+      if (touched) affected_[static_cast<std::size_t>(k)].push_back(id);
+    }
   }
 }
 

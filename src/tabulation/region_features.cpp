@@ -9,21 +9,32 @@ namespace tkmc {
 RegionFeatures::RegionFeatures(const Net& net, const FeatureTable& table)
     : net_(net), table_(table) {}
 
+void RegionFeatures::accumulateSite(const Vet& vet, int site,
+                                    double* f) const {
+  const int numPq = table_.numPq();
+  std::fill(f, f + dim(), 0.0);
+  for (const Net::Entry& e : net_.neighbors(site)) {
+    const Species sp = vet[e.siteId];
+    if (sp == Species::kVacancy) continue;
+    const double* row = table_.row(e.distIndex);
+    double* block = f + static_cast<int>(sp) * numPq;
+    for (int k = 0; k < numPq; ++k) block[k] += row[k];
+  }
+}
+
 void RegionFeatures::compute(const Vet& vet, std::vector<double>& out) const {
   const int nRegion = net_.regionSites();
-  const int d = dim();
-  const int numPq = table_.numPq();
-  out.assign(static_cast<std::size_t>(nRegion) * d, 0.0);
-  for (int site = 0; site < nRegion; ++site) {
-    double* f = out.data() + static_cast<std::size_t>(site) * d;
-    for (const Net::Entry& e : net_.neighbors(site)) {
-      const Species sp = vet[e.siteId];
-      if (sp == Species::kVacancy) continue;
-      const double* row = table_.row(e.distIndex);
-      double* block = f + static_cast<int>(sp) * numPq;
-      for (int k = 0; k < numPq; ++k) block[k] += row[k];
-    }
-  }
+  const std::size_t d = static_cast<std::size_t>(dim());
+  out.resize(static_cast<std::size_t>(nRegion) * d);
+  for (int site = 0; site < nRegion; ++site)
+    accumulateSite(vet, site, out.data() + static_cast<std::size_t>(site) * d);
+}
+
+void RegionFeatures::computeSites(const Vet& vet, std::span<const int> sites,
+                                  double* out) const {
+  const std::size_t d = static_cast<std::size_t>(dim());
+  for (std::size_t i = 0; i < sites.size(); ++i)
+    accumulateSite(vet, sites[i], out + i * d);
 }
 
 void RegionFeatures::computeDirect(const Vet& vet,
@@ -53,18 +64,17 @@ void RegionFeatures::computeStates(Vet& vet, int numFinal,
                                    std::vector<double>& out) const {
   require(numFinal >= 0 && numFinal <= kNumJumpDirections,
           "invalid number of final states");
-  const std::size_t stateStride =
-      static_cast<std::size_t>(net_.regionSites()) * dim();
-  out.resize(stateStride * (1 + static_cast<std::size_t>(numFinal)));
-  std::vector<double> scratch;
-  compute(vet, scratch);
-  std::copy(scratch.begin(), scratch.end(), out.begin());
-  for (int k = 0; k < numFinal; ++k) {
-    const int target = Cet::jumpTargetId(k);
+  const int nRegion = net_.regionSites();
+  const std::size_t d = static_cast<std::size_t>(dim());
+  out.resize(static_cast<std::size_t>(nRegion) * d *
+             (1 + static_cast<std::size_t>(numFinal)));
+  double* f = out.data();
+  for (int state = 0; state <= numFinal; ++state) {
+    // The initial state's swap(0, 0) leaves the VET as it is.
+    const int target = state > 0 ? Cet::jumpTargetId(state - 1) : 0;
     vet.swap(0, target);
-    compute(vet, scratch);
-    std::copy(scratch.begin(), scratch.end(),
-              out.begin() + stateStride * (1 + static_cast<std::size_t>(k)));
+    for (int site = 0; site < nRegion; ++site, f += d)
+      accumulateSite(vet, site, f);
     vet.swap(0, target);
   }
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "tabulation/feature_table.hpp"
@@ -34,12 +35,23 @@ class RegionFeatures {
                      const std::vector<PqSet>& pqSets,
                      std::vector<double>& out) const;
 
+  /// Features of the listed region sites only: row i of `out`
+  /// ([sites.size()][dim()], overwritten) is bit-equal to row sites[i]
+  /// of compute(), accumulated in the same NET order.
+  void computeSites(const Vet& vet, std::span<const int> sites,
+                    double* out) const;
+
   /// Features for the initial state plus the `numFinal` final states
   /// obtained by swapping VET[0] with VET[1 + k]. Output layout:
-  /// [1 + numFinal][nRegion][dim()]. `vet` is restored before returning.
+  /// [1 + numFinal][nRegion][dim()]; every row of every state is
+  /// computed, as the serial Fig. 11 configurations do. `vet` is
+  /// restored before returning.
   void computeStates(Vet& vet, int numFinal, std::vector<double>& out) const;
 
  private:
+  // Zeroes `f` ([dim()]) and accumulates region site `site`'s features.
+  void accumulateSite(const Vet& vet, int site, double* f) const;
+
   const Net& net_;
   const FeatureTable& table_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/constants.hpp"
@@ -79,6 +80,56 @@ TEST(Net, NoSelfNeighbors) {
   const Net net(cet);
   for (int s = 0; s < net.regionSites(); ++s)
     for (const Net::Entry& e : net.neighbors(s)) EXPECT_NE(e.siteId, s);
+}
+
+// A hop to target t_k swaps the species of sites 0 and t_k only, so the
+// sites it can change are those two plus every site within the cutoff
+// of either. Checked against the lattice geometry, not the NET rows.
+TEST(Net, AffectedSitesMatchLatticeGeometry) {
+  for (const double cutoff : {4.0, kDefaultCutoff}) {
+    const Cet cet(kLatticeConstantFe, cutoff);
+    const Net net(cet);
+    auto within = [&](Vec3i a, Vec3i b) {
+      const Vec3i d = a - b;
+      return std::sqrt(static_cast<double>(d.norm2())) * kLatticeConstantFe /
+                 2.0 <=
+             cutoff;
+    };
+    for (int k = 0; k < kNumJumpDirections; ++k) {
+      const int target = Cet::jumpTargetId(k);
+      std::vector<int> expected;
+      for (int s = 0; s < cet.nRegion(); ++s)
+        if (s == 0 || s == target || within(cet.site(s), cet.site(0)) ||
+            within(cet.site(s), cet.site(target)))
+          expected.push_back(s);
+      const auto affected = net.affectedSites(k);
+      EXPECT_EQ(std::vector<int>(affected.begin(), affected.end()), expected)
+          << "cutoff " << cutoff << ", direction " << k;
+    }
+  }
+}
+
+TEST(Net, AffectedSiteCountsAtBothCutoffs) {
+  struct Expected {
+    double cutoff;
+    int nRegion;
+    std::size_t affected;
+  };
+  for (const Expected& e : {Expected{4.0, 59, 22},
+                            Expected{kDefaultCutoff, 253, 144}}) {
+    const Cet cet(kLatticeConstantFe, e.cutoff);
+    const Net net(cet);
+    ASSERT_EQ(cet.nRegion(), e.nRegion);
+    for (int k = 0; k < kNumJumpDirections; ++k) {
+      const auto affected = net.affectedSites(k);
+      EXPECT_EQ(affected.size(), e.affected) << "direction " << k;
+      EXPECT_TRUE(std::is_sorted(affected.begin(), affected.end()));
+      EXPECT_EQ(std::adjacent_find(affected.begin(), affected.end()),
+                affected.end());
+      EXPECT_GE(affected.front(), 0);
+      EXPECT_LT(affected.back(), cet.nRegion());
+    }
+  }
 }
 
 }  // namespace

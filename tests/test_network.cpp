@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 namespace tkmc {
 namespace {
@@ -177,6 +179,81 @@ INSTANTIATE_TEST_SUITE_P(
                       std::vector<int>{8, 16, 16, 1},
                       std::vector<int>{64, 128, 128, 128, 64, 1},
                       std::vector<int>{5, 3, 7, 1}));
+
+// Row-major per-atom forward, as Network::forwardOne() computes it: each
+// output starts at its bias and accumulates w * x with c ascending.
+// forwardBatch() must reproduce it bit for bit.
+double rowMajorForward(const Network& n, const double* features) {
+  std::vector<double> cur(static_cast<std::size_t>(n.inputDim()));
+  for (int c = 0; c < n.inputDim(); ++c)
+    cur[static_cast<std::size_t>(c)] =
+        (features[c] - n.inputShift()[static_cast<std::size_t>(c)]) *
+        n.inputScale()[static_cast<std::size_t>(c)];
+  for (int li = 0; li < n.numLayers(); ++li) {
+    const Network::Layer& l = n.layer(li);
+    const bool last = li + 1 == n.numLayers();
+    std::vector<double> nxt(static_cast<std::size_t>(l.out));
+    for (int o = 0; o < l.out; ++o) {
+      const double* w = l.weights.data() + static_cast<std::size_t>(o) * l.in;
+      double acc = l.bias[static_cast<std::size_t>(o)];
+      for (int c = 0; c < l.in; ++c)
+        acc += w[c] * cur[static_cast<std::size_t>(c)];
+      nxt[static_cast<std::size_t>(o)] = last ? acc : std::max(acc, 0.0);
+    }
+    cur = std::move(nxt);
+  }
+  return cur[0];
+}
+
+void expectBatchMatchesRowMajor(const Network& n, const std::string& what) {
+  Rng rng(77);
+  const int maxAtoms = 531;
+  std::vector<double> features(static_cast<std::size_t>(maxAtoms) *
+                               n.inputDim());
+  for (double& f : features) f = rng.uniform() * 6.0 - 1.0;
+  for (const int atoms : {0, 1, 2, 7, 8, 9, 531}) {
+    // One spare slot past the batch must stay untouched.
+    std::vector<double> batch(static_cast<std::size_t>(atoms) + 1, -7.25);
+    n.forwardBatch(features.data(), atoms, batch.data());
+    for (int i = 0; i < atoms; ++i)
+      ASSERT_EQ(batch[static_cast<std::size_t>(i)],
+                rowMajorForward(
+                    n, features.data() + static_cast<std::size_t>(i) *
+                                             n.inputDim()))
+          << what << ": atom " << i << " of " << atoms;
+    EXPECT_EQ(batch.back(), -7.25) << what << ": wrote past " << atoms;
+  }
+}
+
+TEST(Network, ForwardBatchIsBitEqualToRowMajorForward) {
+  for (const std::vector<int>& channels :
+       {std::vector<int>{64, 32, 32, 1},
+        std::vector<int>{64, 128, 128, 128, 64, 1}}) {
+    Network n(channels);
+    Rng rng(3);
+    n.initHe(rng);
+    for (int li = 0; li < n.numLayers(); ++li)
+      for (double& b : n.layer(li).bias) b = rng.uniform() - 0.5;
+    const std::string shape = std::to_string(channels.size()) + " widths";
+    expectBatchMatchesRowMajor(n, shape + ", He init");
+
+    // Edits through layer() and setInputTransform() must show up in the
+    // very next call: forwardBatch keeps no copy that can go stale.
+    for (int li = 0; li < n.numLayers(); ++li)
+      for (double& w : n.layer(li).weights) w *= -1.5;
+    n.layer(0).bias[0] += 0.75;
+    expectBatchMatchesRowMajor(n, shape + ", edited weights");
+
+    std::vector<double> shift(static_cast<std::size_t>(n.inputDim()));
+    std::vector<double> scale(shift.size());
+    for (std::size_t c = 0; c < shift.size(); ++c) {
+      shift[c] = rng.uniform() * 2.0;
+      scale[c] = 0.5 + rng.uniform();
+    }
+    n.setInputTransform(shift, scale);
+    expectBatchMatchesRowMajor(n, shape + ", input transform");
+  }
+}
 
 TEST(Network, HeInitIsDeterministicPerSeed) {
   Network a({4, 8, 1}), b({4, 8, 1});
