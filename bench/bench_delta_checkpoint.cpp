@@ -8,7 +8,7 @@
 // a low-churn RPV-style box (few vacancies in mostly-Fe), records every
 // epoch as it commits (consolidation GCs deltas later, so sizes are
 // sampled live), and reports delta/full byte ratios plus dirty-page
-// counts as gauges for `scripts/bench_diff.py`.
+// counts as gauges for `scripts/bench_gate.py`.
 //
 // Acceptance: at cadence 1 the mean delta epoch is <= 10% of a full
 // epoch, with consolidation bounding the chain at max_delta_chain links.

@@ -7,8 +7,8 @@
 // real boxes at the Cu fractions and vacancy counts the RPV workload
 // uses, reports allocated bytes/site and the MemoryTracker peak across
 // the sweep, and snapshots everything as gauges so
-// `scripts/bench_diff.py` can flag footprint regressions between
-// commits. Acceptance: a mostly-Fe box stays at or under 0.30 bytes/site
+// `scripts/bench_gate.py` can flag footprint regressions against the
+// committed baseline. Acceptance: a mostly-Fe box stays at or under 0.30 bytes/site
 // (the dense representation was >= 1.0).
 
 #include <cstdio>

@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
 # Builds the tree under a sanitizer configuration and runs the
 # fault-tolerance test suite there (the failure paths exercised by fault
-# injection are exactly where memory bugs like to hide).
+# injection are exactly where memory bugs like to hide), plus the
+# register-blocked CPE kernel tests (blocked loops with ragged tails are
+# where out-of-bounds reads hide).
 #
 # The sanitizer set comes from TKMC_SANITIZE (semicolon-separated, the
 # same list CMake consumes) and defaults to ASan+UBSan. Each flavor gets
 # its own build directory so switching sets never mixes cached flags:
 #
-#   scripts/run_sanitized.sh                        # asan+ubsan, FT suite
+#   scripts/run_sanitized.sh                        # asan+ubsan, FT + kernels
 #   scripts/run_sanitized.sh all                    # asan+ubsan, whole suite
-#   TKMC_SANITIZE=thread scripts/run_sanitized.sh   # TSan, FT suite
+#   TKMC_SANITIZE=thread scripts/run_sanitized.sh   # TSan, FT + kernels
 #   scripts/run_sanitized.sh <regex>                # custom ctest -R filter
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -17,7 +19,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS=${TKMC_SANITIZE:-"address;undefined"}
 FLAVOR=$(echo "$SANITIZERS" | tr ';,' '--')
 BUILD_DIR=${BUILD_DIR:-build-sanitized/$FLAVOR}
-FILTER=${1:-"fault_injection|checkpoint|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine"}
+FILTER=${1:-"fault_injection|checkpoint|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline"}
 
 echo "==> sanitized build: TKMC_SANITIZE=$SANITIZERS ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S . \

@@ -60,14 +60,29 @@ class RankFailure : public Error {
   double detectMs_;
 };
 
+namespace detail {
+
+[[noreturn]] inline void failRequire(const char* message,
+                                     const std::source_location& loc) {
+  throw Error(std::string(loc.file_name()) + ":" +
+              std::to_string(loc.line()) + ": " + message);
+}
+
+}  // namespace detail
+
 /// Throws tkmc::Error when `condition` is false. Used at API boundaries;
-/// hot loops rely on asserts instead.
+/// hot loops rely on asserts instead. The `const char*` overload keeps a
+/// literal message from being copied into a std::string on the success
+/// path; a message that needs formatting should be built only once the
+/// check has failed.
+inline void require(bool condition, const char* message,
+                    std::source_location loc = std::source_location::current()) {
+  if (!condition) [[unlikely]] detail::failRequire(message, loc);
+}
+
 inline void require(bool condition, const std::string& message,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw Error(std::string(loc.file_name()) + ":" +
-                std::to_string(loc.line()) + ": " + message);
-  }
+  if (!condition) [[unlikely]] detail::failRequire(message.c_str(), loc);
 }
 
 }  // namespace tkmc

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/error.hpp"
+#include "common/vec4.hpp"
 
 namespace tkmc {
 namespace {
@@ -104,24 +105,92 @@ void chargeElementwisePass(Traffic* t, int m, int out) {
   t->flops += static_cast<std::uint64_t>(m) * out;
 }
 
+// ---- fused tile kernel ----
+
+// Rows per register block of a 16-wide output slab: 2 rows x 4 vectors
+// of accumulators, plus the four weight vectors and the broadcast input,
+// fit the 16 SSE registers without spilling.
+constexpr int kSlabRows = 2;
+
+// Register block of R rows x 16 outputs: each accumulator starts from
+// its bias and adds x[r][c] * w[c][o] with c ascending, then the block
+// is stored once. `x` points at row 0, column 0 of the block; `w`, `b`
+// and `y` are already offset to the block's first output.
+template <int R>
+TKMC_VECTOR_KERNEL inline void convBlock16(const float* x, int in,
+                                           const float* w, const float* b,
+                                           float* y, int out, bool relu) {
+  Vec4 acc[R][4];
+  for (int v = 0; v < 4; ++v) {
+    const Vec4 bv = load4(b + 4 * v);
+    for (int r = 0; r < R; ++r) acc[r][v] = bv;
+  }
+  for (int c = 0; c < in; ++c) {
+    const float* wRow = w + static_cast<std::size_t>(c) * out;
+    Vec4 wv[4];
+    for (int v = 0; v < 4; ++v) wv[v] = load4(wRow + 4 * v);
+    for (int r = 0; r < R; ++r) {
+      const float xs = x[static_cast<std::size_t>(r) * in + c];
+      const Vec4 xv = {xs, xs, xs, xs};
+      for (int v = 0; v < 4; ++v) acc[r][v] += xv * wv[v];
+    }
+  }
+  for (int r = 0; r < R; ++r)
+    for (int v = 0; v < 4; ++v) {
+      Vec4 a = acc[r][v];
+      if (relu) a = a < 0.0f ? Vec4{} : a;
+      store4(y + static_cast<std::size_t>(r) * out + 4 * v, a);
+    }
+}
+
+// Scalar tail: one output column over R interleaved rows, so the R add
+// chains are independent (the out == 1 layer would otherwise be a single
+// dependent chain per row).
+template <int R>
+TKMC_VECTOR_KERNEL inline void convColumn(const float* x, int in,
+                                          const float* w, float b, float* y,
+                                          int out, bool relu) {
+  float acc[R];
+  for (int r = 0; r < R; ++r) acc[r] = b;
+  for (int c = 0; c < in; ++c) {
+    const float wc = w[static_cast<std::size_t>(c) * out];
+    for (int r = 0; r < R; ++r)
+      acc[r] += x[static_cast<std::size_t>(r) * in + c] * wc;
+  }
+  for (int r = 0; r < R; ++r)
+    y[static_cast<std::size_t>(r) * out] =
+        relu && acc[r] < 0.0f ? 0.0f : acc[r];
+}
+
 }  // namespace
 
 namespace detail {
 
-TKMC_VECTOR_KERNEL void fusedConvPixel(const float* __restrict__ x,
-                                       const float* __restrict__ weightsChannelMajor,
-                                       const float* __restrict__ bias,
-                                       float* __restrict__ y, int in, int out,
-                                       bool relu) {
-  for (int o = 0; o < out; ++o) y[o] = bias[o];
-  for (int c = 0; c < in; ++c) {
-    const float xv = x[c];
-    const float* __restrict__ wRow =
-        weightsChannelMajor + static_cast<std::size_t>(c) * out;
-    for (int o = 0; o < out; ++o) y[o] += xv * wRow[o];
+TKMC_VECTOR_KERNEL void fusedConvTile(const float* x,
+                                      const float* weightsChannelMajor,
+                                      const float* bias, float* y, int rows,
+                                      int in, int out, bool relu) {
+  auto xRow = [&](int r) { return x + static_cast<std::size_t>(r) * in; };
+  auto yAt = [&](int r, int o) {
+    return y + static_cast<std::size_t>(r) * out + o;
+  };
+  const float* w = weightsChannelMajor;
+  int o = 0;
+  for (; o + 16 <= out; o += 16) {
+    int r = 0;
+    for (; r + kSlabRows <= rows; r += kSlabRows)
+      convBlock16<kSlabRows>(xRow(r), in, w + o, bias + o, yAt(r, o), out,
+                             relu);
+    for (; r < rows; ++r)
+      convBlock16<1>(xRow(r), in, w + o, bias + o, yAt(r, o), out, relu);
   }
-  if (relu)
-    for (int o = 0; o < out; ++o) y[o] = y[o] < 0.0f ? 0.0f : y[o];
+  for (; o < out; ++o) {
+    int r = 0;
+    for (; r + 8 <= rows; r += 8)
+      convColumn<8>(xRow(r), in, w + o, bias[o], yAt(r, o), out, relu);
+    for (; r < rows; ++r)
+      convColumn<1>(xRow(r), in, w + o, bias[o], yAt(r, o), out, relu);
+  }
 }
 
 }  // namespace detail
@@ -269,11 +338,8 @@ void ConvStack::forwardFused(const float* input, int m, float* output,
     const auto& wConv = weightsChannelMajor_[static_cast<std::size_t>(li)];
     const auto& b = snapshot_.biases[static_cast<std::size_t>(li)];
     bufB.resize(static_cast<std::size_t>(m) * out);
-    for (int px = 0; px < m; ++px)
-      detail::fusedConvPixel(bufA.data() + static_cast<std::size_t>(px) * in,
-                             wConv.data(), b.data(),
-                             bufB.data() + static_cast<std::size_t>(px) * out,
-                             in, out, !lastLayer);
+    detail::fusedConvTile(bufA.data(), wConv.data(), b.data(), bufB.data(), m,
+                          in, out, !lastLayer);
     if (t) {
       chargeMatmul(t, m, in, out);
       t->flops += static_cast<std::uint64_t>(m) * out * (lastLayer ? 1 : 2);

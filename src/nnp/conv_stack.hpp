@@ -10,11 +10,18 @@ namespace tkmc {
 
 namespace detail {
 
-/// Fused matmul + bias (+ ReLU) for one pixel/atom: channel-major
-/// weights, vectorized codegen. Shared by ConvStack::kFusedLayer and the
+/// Fused matmul + bias (+ ReLU) over a tile of `rows` pixels/atoms:
+/// x [rows][in] -> y [rows][out] with channel-major [in][out] weights.
+/// Register-blocked: outputs are computed in 16-wide column slabs over
+/// blocks of rows held in registers (leftover columns one at a time over
+/// 8 interleaved rows), and each output is stored once. Every output still starts from its bias and
+/// adds x[c] * w[c][o] with c ascending, so the result is bit-identical
+/// to the plain per-pixel loop. Shared by ConvStack::kFusedLayer and the
 /// big-fusion operator so the two are bit-identical by construction.
-void fusedConvPixel(const float* x, const float* weightsChannelMajor,
-                    const float* bias, float* y, int in, int out, bool relu);
+/// `x` and `y` must not overlap.
+void fusedConvTile(const float* x, const float* weightsChannelMajor,
+                   const float* bias, float* y, int rows, int in, int out,
+                   bool relu);
 
 }  // namespace detail
 
@@ -34,7 +41,8 @@ void fusedConvPixel(const float* x, const float* weightsChannelMajor,
 ///                 restrict pointers (maps to SIMD on the CPE vector
 ///                 units); bias/ReLU still separate passes.
 ///   kFusedLayer — matmul + bias + ReLU fused into one pass per layer
-///                 (the TensorFlow FusedConv2D / SWDNN analogue).
+///                 (the TensorFlow FusedConv2D / SWDNN analogue), run by
+///                 the register-blocked detail::fusedConvTile.
 ///
 /// The fifth rung, the big-fusion operator, keeps activations resident in
 /// CPE scratchpads across *all* layers and lives in

@@ -101,14 +101,12 @@ void BigFusionOperator::forward(const float* input, int m, float* output) const 
         cpe.traffic().rmaBytes +=
             (img.weightsChannelMajor.size() + img.biases.size()) *
             sizeof(float);
-        // Fused matmul + bias + ReLU; the exact kernel ConvStack's fused
-        // mode uses, so results are bit-identical.
-        for (int px = 0; px < rows; ++px)
-          detail::fusedConvPixel(cur + static_cast<std::size_t>(px) * in,
-                                 img.weightsChannelMajor.data(),
-                                 img.biases.data(),
-                                 nxt + static_cast<std::size_t>(px) * out, in,
-                                 out, !lastLayer);
+        // Fused matmul + bias + ReLU over the whole tile, register-blocked;
+        // the exact kernel ConvStack's fused mode uses, so results are
+        // bit-identical.
+        detail::fusedConvTile(cur, img.weightsChannelMajor.data(),
+                              img.biases.data(), nxt, rows, in, out,
+                              !lastLayer);
         cpe.traffic().flops +=
             2ULL * rows * in * out + static_cast<std::uint64_t>(rows) * out *
                                          (lastLayer ? 1 : 2);

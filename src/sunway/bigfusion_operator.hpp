@@ -19,8 +19,12 @@ namespace tkmc {
 /// along rows via RMA, so steady-state main-memory traffic is exactly one
 /// input read plus one output write.
 ///
-/// Numerics match ConvStack::Mode::kFusedLayer bit-for-bit (identical
-/// inner-loop order in single precision).
+/// Each layer of a resident tile runs detail::fusedConvTile, the
+/// register-blocked kernel ConvStack::Mode::kFusedLayer also uses, so the
+/// numerics match it bit-for-bit; the two rungs differ only in the
+/// main-memory round trips between layers. Register blocking happens
+/// below the model: DMA, RMA and flop counts are charged per tile and
+/// layer, whatever the host kernel's loop order.
 class BigFusionOperator {
  public:
   /// `mBlock` is the tile height per CPE per pass. The constructor

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/telemetry/tracer.hpp"
+#include "common/vec4.hpp"
 #include "tabulation/cet.hpp"
 
 namespace tkmc {
@@ -17,22 +18,49 @@ namespace {
 // pass the check and still overflow the arena.
 std::size_t alignUp64(std::size_t bytes) { return (bytes + 63) & ~std::size_t{63}; }
 
+// dst[k] = 0.0f + rows[0][k] + rows[1][k] + ... for k < width, in
+// registers: 32-wide slabs (8 accumulators), then a scalar tail.
+void sumRows(const float* const* rows, int n, int width, float* dst) {
+  int k = 0;
+  for (; k + 32 <= width; k += 32) {
+    Vec4 acc[8] = {};
+    for (int i = 0; i < n; ++i)
+      for (int v = 0; v < 8; ++v) acc[v] += load4(rows[i] + k + 4 * v);
+    for (int v = 0; v < 8; ++v) store4(dst + k + 4 * v, acc[v]);
+  }
+  for (; k < width; ++k) {
+    float acc = 0.0f;
+    for (int i = 0; i < n; ++i) acc += rows[i][k];
+    dst[k] = acc;
+  }
+}
+
 }  // namespace
 
 FeatureOperator::FeatureOperator(const Net& net, const FeatureTable& table,
                                  CpeGrid& grid)
     : net_(net), table_(table), grid_(grid) {
-  // Pack NET into the 4-byte-per-entry LDM encoding.
-  packedOffsets_.push_back(0);
-  for (int site = 0; site < net_.regionSites(); ++site) {
-    for (const Net::Entry& e : net_.neighbors(site)) {
-      require(e.siteId >= 0 && e.siteId < 65536 && e.distIndex >= 0 &&
-                  e.distIndex < 65536,
-              "NET entry does not fit the packed encoding");
-      packedEntries_.push_back({static_cast<std::uint16_t>(e.siteId),
+  // Pack each CPE's NET rows into the 4-byte-per-entry LDM encoding.
+  const int numCpes = grid_.size();
+  plans_.resize(static_cast<std::size_t>(numCpes));
+  for (int id = 0; id < numCpes; ++id) {
+    CpePlan& plan = plans_[static_cast<std::size_t>(id)];
+    plan.rowOffsets.push_back(0);
+    for (int site = id; site < net_.regionSites(); site += numCpes) {
+      plan.sites.push_back(site);
+      const std::span<const Net::Entry> row = net_.neighbors(site);
+      maxRowEntries_ = std::max(maxRowEntries_, row.size());
+      for (const Net::Entry& e : row) {
+        require(e.siteId >= 0 && e.siteId < 65536 && e.distIndex >= 0 &&
+                    e.distIndex < 65536,
+                "NET entry does not fit the packed encoding");
+        plan.entries.push_back({static_cast<std::uint16_t>(e.siteId),
                                 static_cast<std::uint16_t>(e.distIndex)});
+      }
+      plan.rowOffsets.push_back(plan.entries.size());
     }
-    packedOffsets_.push_back(packedEntries_.size());
+    maxPlanSites_ = std::max(maxPlanSites_, plan.sites.size());
+    maxPlanEntries_ = std::max(maxPlanEntries_, plan.entries.size());
   }
   tableF32_.resize(static_cast<std::size_t>(table_.numDistances()) * table_.numPq());
   for (int d = 0; d < table_.numDistances(); ++d)
@@ -50,28 +78,11 @@ void FeatureOperator::compute(const Vet& vet, int numFinal,
 
 std::size_t FeatureOperator::batchWorkingSetBytes(int numStates,
                                                   int vetSites) const {
-  const int nRegion = net_.regionSites();
-  const int numCpes = grid_.size();
-  // Worst CPE under the circular site assignment: most sites and most
-  // packed NET entries (the two can peak on different CPEs).
-  std::size_t maxSites = 0;
-  std::size_t maxEntries = 0;
-  for (int id = 0; id < numCpes; ++id) {
-    std::size_t sites = 0;
-    std::size_t entries = 0;
-    for (int s = id; s < nRegion; s += numCpes) {
-      ++sites;
-      entries += packedOffsets_[static_cast<std::size_t>(s) + 1] -
-                 packedOffsets_[static_cast<std::size_t>(s)];
-    }
-    maxSites = std::max(maxSites, sites);
-    maxEntries = std::max(maxEntries, entries);
-  }
   const std::size_t vetBytes =
       static_cast<std::size_t>(vetSites) * sizeof(Species);
   return alignUp64(tableF32_.size() * sizeof(float)) + alignUp64(vetBytes) +
-         alignUp64(maxEntries * sizeof(PackedEntry)) +
-         alignUp64(maxSites * static_cast<std::size_t>(numStates) *
+         alignUp64(maxPlanEntries_ * sizeof(PackedEntry)) +
+         alignUp64(maxPlanSites_ * static_cast<std::size_t>(numStates) *
                    static_cast<std::size_t>(dim()) * sizeof(float));
 }
 
@@ -89,7 +100,8 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
   const std::size_t stateStride = static_cast<std::size_t>(nRegion) * d;
   const std::size_t systemStride =
       stateStride * static_cast<std::size_t>(numStates);
-  out.assign(systemStride * static_cast<std::size_t>(numSystems), 0.0f);
+  // No zero-fill: the dmaPuts below write every row.
+  out.resize(systemStride * static_cast<std::size_t>(numSystems));
   if (numSystems == 0) return;
   const int nAll = vets[0]->size();
   for (const Vet* vet : vets)
@@ -97,20 +109,18 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
             "every VET of a batch must come from the same CET");
 
   const std::size_t working = batchWorkingSetBytes(numStates, nAll);
-  require(working <= grid_.spec().ldmBytes,
-          "batched feature working set (" + std::to_string(working) +
-              " bytes: TABLE + NET rows + VET + one system's features) "
-              "exceeds LDM capacity (" +
-              std::to_string(grid_.spec().ldmBytes) +
-              " bytes); reduce the table resolution, cutoff, or state count");
+  if (working > grid_.spec().ldmBytes)
+    throw Error("batched feature working set (" + std::to_string(working) +
+                " bytes: TABLE + NET rows + VET + one system's features) "
+                "exceeds LDM capacity (" +
+                std::to_string(grid_.spec().ldmBytes) +
+                " bytes); reduce the table resolution, cutoff, or state count");
 
-  const int numCpes = grid_.size();
   grid_.run([&](CpeContext& cpe) {
+    const CpePlan& plan = plans_[static_cast<std::size_t>(cpe.id())];
+    const std::size_t numSites = plan.sites.size();
+    if (numSites == 0) return;
     Ldm& ldm = cpe.ldm();
-    // Sites handled by this CPE (circular assignment).
-    std::vector<int> mySites;
-    for (int s = cpe.id(); s < nRegion; s += numCpes) mySites.push_back(s);
-    if (mySites.empty()) return;
 
     // Batch-resident LDM: feature TABLE and this CPE's NET rows are
     // fetched once and reused for every system of the batch; the VET
@@ -118,30 +128,19 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
     auto tableLdm = ldm.alloc<float>(tableF32_.size());
     cpe.dmaGet(tableLdm.data(), tableF32_.data(),
                tableF32_.size() * sizeof(float));
-    std::size_t myEntryCount = 0;
-    for (int s : mySites)
-      myEntryCount += packedOffsets_[static_cast<std::size_t>(s) + 1] -
-                      packedOffsets_[static_cast<std::size_t>(s)];
-    auto netLdm = ldm.alloc<PackedEntry>(myEntryCount);
-    {
-      std::size_t cursor = 0;
-      for (int s : mySites) {
-        const std::size_t begin = packedOffsets_[static_cast<std::size_t>(s)];
-        const std::size_t count =
-            packedOffsets_[static_cast<std::size_t>(s) + 1] - begin;
-        cpe.dmaGet(netLdm.data() + cursor, packedEntries_.data() + begin,
-                   count * sizeof(PackedEntry));
-        cursor += count;
-      }
-    }
+    auto netLdm = ldm.alloc<PackedEntry>(plan.entries.size());
+    cpe.dmaGet(netLdm.data(), plan.entries.data(),
+               plan.entries.size() * sizeof(PackedEntry));
     auto vetLdm = ldm.alloc<Species>(static_cast<std::size_t>(nAll));
-    auto featLdm = ldm.alloc<float>(mySites.size() *
-                                    static_cast<std::size_t>(numStates) * d);
+    auto featLdm =
+        ldm.alloc<float>(numSites * static_cast<std::size_t>(numStates) * d);
+    // TABLE rows of one NET row, split by the species each entry sees:
+    // species sp's list starts at sp * maxRowEntries_.
+    std::vector<const float*> speciesRows(kNumElements * maxRowEntries_);
 
     for (int sys = 0; sys < numSystems; ++sys) {
       cpe.dmaGet(vetLdm.data(), vets[sys]->data().data(),
                  static_cast<std::size_t>(nAll) * sizeof(Species));
-      std::fill(featLdm.begin(), featLdm.end(), 0.0f);
 
       for (int state = 0; state < numStates; ++state) {
         // Simulate the hop for final state k by swapping the LDM VET copy.
@@ -149,31 +148,32 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
           const int target = Cet::jumpTargetId(state - 1);
           std::swap(vetLdm[0], vetLdm[static_cast<std::size_t>(target)]);
         }
-        std::size_t cursor = 0;
-        for (std::size_t si = 0; si < mySites.size(); ++si) {
-          const int s = mySites[si];
-          const std::size_t count =
-              packedOffsets_[static_cast<std::size_t>(s) + 1] -
-              packedOffsets_[static_cast<std::size_t>(s)];
-          float* f =
-              featLdm.data() +
-              (static_cast<std::size_t>(state) * mySites.size() + si) * d;
-          std::uint64_t accumulated = 0;
-          for (std::size_t e = 0; e < count; ++e) {
-            const PackedEntry entry = netLdm[cursor + e];
+        for (std::size_t si = 0; si < numSites; ++si) {
+          int counts[kNumElements] = {};
+          for (std::size_t e = plan.rowOffsets[si]; e < plan.rowOffsets[si + 1];
+               ++e) {
+            const PackedEntry entry = netLdm[e];
             const Species sp = vetLdm[entry.siteId];
             if (sp == Species::kVacancy) continue;
-            const float* row = tableLdm.data() +
-                               static_cast<std::size_t>(entry.distIndex) * numPq;
-            float* block = f + static_cast<int>(sp) * numPq;
-            for (int k = 0; k < numPq; ++k) block[k] += row[k];
-            ++accumulated;
+            const int spi = static_cast<int>(sp);
+            speciesRows[static_cast<std::size_t>(spi) * maxRowEntries_ +
+                        static_cast<std::size_t>(counts[spi]++)] =
+                tableLdm.data() +
+                static_cast<std::size_t>(entry.distIndex) * numPq;
+          }
+          float* f = featLdm.data() +
+                     (static_cast<std::size_t>(state) * numSites + si) * d;
+          std::uint64_t accumulated = 0;
+          for (int spi = 0; spi < kNumElements; ++spi) {
+            sumRows(speciesRows.data() +
+                        static_cast<std::size_t>(spi) * maxRowEntries_,
+                    counts[spi], numPq, f + spi * numPq);
+            accumulated += static_cast<std::uint64_t>(counts[spi]);
           }
           // Only entries that actually accumulated count as work;
           // vacancy-skipped entries do no arithmetic.
           cpe.traffic().flops +=
               accumulated * static_cast<std::uint64_t>(numPq);
-          cursor += count;
         }
         // Undo the swap so every state starts from the initial VET.
         if (state > 0) {
@@ -185,14 +185,14 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
       // One DMA put of everything generated for this system (paper:
       // features kept in LDM until all states are done).
       for (int state = 0; state < numStates; ++state)
-        for (std::size_t si = 0; si < mySites.size(); ++si) {
+        for (std::size_t si = 0; si < numSites; ++si) {
           float* dst = out.data() +
                        static_cast<std::size_t>(sys) * systemStride +
                        static_cast<std::size_t>(state) * stateStride +
-                       static_cast<std::size_t>(mySites[si]) * d;
+                       static_cast<std::size_t>(plan.sites[si]) * d;
           const float* src =
               featLdm.data() +
-              (static_cast<std::size_t>(state) * mySites.size() + si) * d;
+              (static_cast<std::size_t>(state) * numSites + si) * d;
           cpe.dmaPut(dst, src, static_cast<std::size_t>(d) * sizeof(float));
         }
     }

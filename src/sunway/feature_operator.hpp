@@ -19,6 +19,12 @@ namespace tkmc {
 /// and every final state (vacancy swap VET[0] <-> VET[1+k]) before a
 /// single DMA put of all generated features. Single precision, matching
 /// the CPE vector units.
+///
+/// Per (state, site) row the kernel splits the NET entries by the
+/// species they see (NET order kept, vacancies skipped) and sums each
+/// species block's TABLE rows in registers from 0.0f, storing the block
+/// once. That is the same float summation order as accumulating entry
+/// by entry into a zeroed block, so features are bit-identical to it.
 class FeatureOperator {
  public:
   FeatureOperator(const Net& net, const FeatureTable& table, CpeGrid& grid);
@@ -59,14 +65,28 @@ class FeatureOperator {
     std::uint16_t distIndex;
   };
 
+  // One CPE's share of the region under the circular site assignment:
+  // its sites and their packed NET rows back to back, exactly as the
+  // rows sit in that CPE's LDM (rowOffsets has sites.size() + 1 prefix
+  // offsets into entries). Built once; the grid's shape is fixed.
+  struct CpePlan {
+    std::vector<int> sites;
+    std::vector<std::size_t> rowOffsets;
+    std::vector<PackedEntry> entries;
+  };
+
   const Net& net_;
   const FeatureTable& table_;
   CpeGrid& grid_;
-  // Main-memory images the CPEs DMA from: packed NET rows with prefix
-  // offsets, and the float TABLE.
-  std::vector<std::size_t> packedOffsets_;
-  std::vector<PackedEntry> packedEntries_;
+  // Main-memory images the CPEs DMA from: per-CPE packed NET rows and
+  // the float TABLE.
+  std::vector<CpePlan> plans_;
   std::vector<float> tableF32_;
+  // Largest per-CPE site count, per-CPE entry count and single NET row
+  // (the first two can peak on different CPEs).
+  std::size_t maxPlanSites_ = 0;
+  std::size_t maxPlanEntries_ = 0;
+  std::size_t maxRowEntries_ = 0;
 };
 
 }  // namespace tkmc

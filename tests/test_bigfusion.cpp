@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "conv_reference.hpp"
 #include "nnp/conv_stack.hpp"
 
 namespace tkmc {
@@ -141,11 +145,9 @@ class BigFusionTileSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(BigFusionTileSweep, ResultsAndTrafficIndependentOfTileHeight) {
   const auto snap = makeSnapshot({32, 64, 64, 1}, 21);
-  const ConvStack stack(snap);
   const int m = 333;
   const auto input = randomInput(m, 32, 22);
-  std::vector<float> expected(static_cast<std::size_t>(m));
-  stack.forward(ConvStack::Mode::kFusedLayer, input.data(), m, expected.data());
+  const std::vector<float> expected = testref::stack(snap, input, m);
 
   CpeGrid grid;
   BigFusionOperator op(snap, grid, GetParam());
@@ -154,8 +156,9 @@ TEST_P(BigFusionTileSweep, ResultsAndTrafficIndependentOfTileHeight) {
   std::vector<float> actual(static_cast<std::size_t>(m));
   op.forward(input.data(), m, actual.data());
   for (int i = 0; i < m; ++i)
-    ASSERT_EQ(actual[static_cast<std::size_t>(i)],
-              expected[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(actual[static_cast<std::size_t>(i)]),
+              std::bit_cast<std::uint32_t>(expected[static_cast<std::size_t>(i)]))
+        << "row " << i;
   const Traffic t = grid.collectTraffic();
   EXPECT_EQ(t.mainReadBytes, static_cast<std::uint64_t>(m) * 32 * sizeof(float));
   EXPECT_EQ(t.mainWriteBytes, static_cast<std::uint64_t>(m) * sizeof(float));
@@ -168,21 +171,20 @@ INSTANTIATE_TEST_SUITE_P(TileHeights, BigFusionTileSweep,
 class BigFusionShapeSweep
     : public ::testing::TestWithParam<std::vector<int>> {};
 
-TEST_P(BigFusionShapeSweep, MatchesFusedStack) {
+TEST_P(BigFusionShapeSweep, MatchesScalarReference) {
   const auto snap = makeSnapshot(GetParam(), 23);
-  const ConvStack stack(snap);
   const int m = 97;
   const auto input = randomInput(m, GetParam().front(), 24);
-  std::vector<float> expected(static_cast<std::size_t>(m) *
-                              static_cast<std::size_t>(GetParam().back()));
+  const std::vector<float> expected = testref::stack(snap, input, m);
   std::vector<float> actual(expected.size());
-  stack.forward(ConvStack::Mode::kFusedLayer, input.data(), m, expected.data());
   CpeGrid grid;
   BigFusionOperator op(snap, grid, 16);
   op.loadModel();
   op.forward(input.data(), m, actual.data());
   for (std::size_t i = 0; i < expected.size(); ++i)
-    ASSERT_EQ(actual[i], expected[i]);
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(actual[i]),
+              std::bit_cast<std::uint32_t>(expected[i]))
+        << "index " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -190,6 +192,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::vector<int>{8, 1},                        // 1 layer
                       std::vector<int>{16, 16, 16, 16},              // wide out
                       std::vector<int>{64, 128, 128, 128, 64, 1},    // paper
+                      std::vector<int>{64, 32, 32, 1},               // default
+                      std::vector<int>{5, 17, 3, 33, 15, 2},         // tails
                       std::vector<int>{4, 8, 8, 8, 8, 8, 8, 8, 1})); // 8 layers
 
 TEST(BigFusion, ModelLoadTrafficCountsOncePerHoldingCpe) {
