@@ -3,11 +3,13 @@
 //
 // The per-system NNP dispatch re-DMAs the feature TABLE and the packed
 // NET into every CPE's LDM, pays two kernel launches per vacancy system,
-// and deals only ~9 * nRegion rows to the big-fusion mesh, so most of
-// the 64 simulated CPEs idle per refresh. The batched pipeline keeps the
-// TABLE and NET LDM-resident across systems and concatenates the feature
-// matrices of the whole batch into one forward, so fixed dispatch costs
-// amortize and the tile count scales with the batch.
+// and deals only its hop-local rows (nRegion for the initial state plus
+// each final state's affected sites, 235 at 4.0 A) to the big-fusion
+// mesh, so most of the 64 simulated CPEs idle per refresh. The batched
+// pipeline keeps the TABLE and NET LDM-resident across systems and
+// concatenates the feature matrices of the whole batch into one forward,
+// so fixed dispatch costs amortize and the tile count scales with the
+// batch.
 //
 // Cost is the modeled SW26010 time (CpeGrid::collectModeledSeconds:
 // launch latency + per-run critical path), the same basis as the

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "kmc/nnp_energy_model.hpp"
+#include "tabulation/vet.hpp"
 
 namespace tkmc {
 namespace {

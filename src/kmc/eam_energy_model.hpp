@@ -4,9 +4,9 @@
 
 #include "eam/eam_potential.hpp"
 #include "kmc/energy_model.hpp"
-#include "kmc/nnp_energy_model.hpp"
 #include "tabulation/cet.hpp"
 #include "tabulation/net.hpp"
+#include "tabulation/vet.hpp"
 
 namespace tkmc {
 

@@ -7,6 +7,7 @@
 #include "tabulation/cet.hpp"
 #include "tabulation/net.hpp"
 #include "tabulation/region_features.hpp"
+#include "tabulation/row_plan.hpp"
 #include "tabulation/vet.hpp"
 
 namespace tkmc {
@@ -15,12 +16,14 @@ namespace tkmc {
 /// neural network potential.
 ///
 /// Per call: one VET gather (the only access to the big lattice array),
-/// tabulated features (Eq. 6) for every region site of the initial state
-/// and for only the Net::affectedSites() of each final state, one network
-/// forward over those rows, and per-state sums over the jumping region
-/// with vacancy sites masked out. A final state's unaffected sites reuse
-/// the initial state's atomic energies: their features are bitwise the
-/// same, so every state energy is bit-identical to a full recompute.
+/// tabulated features (Eq. 6) for the rows of RowPlan::hopLocal() —
+/// every region site of the initial state and only the
+/// Net::affectedSites() of each final state — one network forward over
+/// those rows, and RowPlan::reduce()'s per-state sums over the jumping
+/// region with vacancy sites masked out. A final state's unaffected
+/// sites reuse the initial state's atomic energies: their features are
+/// bitwise the same, so every state energy is bit-identical to a full
+/// recompute.
 class NnpEnergyModel : public EnergyModel {
  public:
   /// All references must outlive the model.
@@ -50,25 +53,12 @@ class NnpEnergyModel : public EnergyModel {
 
  private:
   const Cet& cet_;
-  const Net& net_;
   const Network& network_;
   RegionFeatures features_;
-  std::vector<int> regionSiteIds_;  // 0 .. nRegion - 1
+  RowPlan rows_;
   // Scratch reused across calls.
   std::vector<double> featureBuffer_;
   std::vector<double> energyBuffer_;
-  std::vector<double> stateAtomEnergies_;  // one state's [nRegion]
 };
-
-/// Species of CET site `siteId` in state `state` (0 = initial, k > 0 =
-/// after the hop to jump target k), given the initial-state VET. Shared
-/// by every backend so masking logic cannot diverge.
-inline Species stateSpecies(const Vet& vet, int state, int siteId) {
-  if (state == 0) return vet[siteId];
-  const int target = Cet::jumpTargetId(state - 1);
-  if (siteId == 0) return vet[target];
-  if (siteId == target) return vet[0];
-  return vet[siteId];
-}
 
 }  // namespace tkmc

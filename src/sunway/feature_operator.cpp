@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/telemetry/tracer.hpp"
@@ -39,15 +40,22 @@ void sumRows(const float* const* rows, int n, int width, float* dst) {
 
 FeatureOperator::FeatureOperator(const Net& net, const FeatureTable& table,
                                  CpeGrid& grid)
-    : net_(net), table_(table), grid_(grid) {
-  // Pack each CPE's NET rows into the 4-byte-per-entry LDM encoding.
+    : FeatureOperator(net, table, grid, RowPlan::full(net)) {}
+
+FeatureOperator::FeatureOperator(const Net& net, const FeatureTable& table,
+                                 CpeGrid& grid, RowPlan rows)
+    : net_(net), table_(table), grid_(grid), rows_(std::move(rows)) {
+  require(rows_.regionSites() == net_.regionSites(),
+          "row plan must cover the NET's region");
+  // Region sites are dealt to CPEs circularly: site s is local site
+  // s / numCpes of CPE s % numCpes. Pack each CPE's NET rows into the
+  // 4-byte-per-entry LDM encoding.
   const int numCpes = grid_.size();
   plans_.resize(static_cast<std::size_t>(numCpes));
   for (int id = 0; id < numCpes; ++id) {
     CpePlan& plan = plans_[static_cast<std::size_t>(id)];
     plan.rowOffsets.push_back(0);
     for (int site = id; site < net_.regionSites(); site += numCpes) {
-      plan.sites.push_back(site);
       const std::span<const Net::Entry> row = net_.neighbors(site);
       maxRowEntries_ = std::max(maxRowEntries_, row.size());
       for (const Net::Entry& e : row) {
@@ -59,9 +67,22 @@ FeatureOperator::FeatureOperator(const Net& net, const FeatureTable& table,
       }
       plan.rowOffsets.push_back(plan.entries.size());
     }
-    maxPlanSites_ = std::max(maxPlanSites_, plan.sites.size());
     maxPlanEntries_ = std::max(maxPlanEntries_, plan.entries.size());
+    plan.stateRows.push_back(0);
   }
+  // Then list the rows each CPE computes, state by state, in site order.
+  for (int state = 0; state <= kNumJumpDirections; ++state) {
+    const std::span<const int> sites = rows_.sites(state);
+    for (std::size_t i = 0; i < sites.size(); ++i)
+      plans_[static_cast<std::size_t>(sites[i] % numCpes)].rows.push_back(
+          {static_cast<std::uint32_t>(sites[i] / numCpes),
+           static_cast<std::uint32_t>(rows_.stateOffset(state) + i)});
+    for (CpePlan& plan : plans_) plan.stateRows.push_back(plan.rows.size());
+  }
+  maxPlanRows_.assign(kNumJumpDirections + 2, 0);
+  for (const CpePlan& plan : plans_)
+    for (std::size_t n = 0; n < maxPlanRows_.size(); ++n)
+      maxPlanRows_[n] = std::max(maxPlanRows_[n], plan.stateRows[n]);
   tableF32_.resize(static_cast<std::size_t>(table_.numDistances()) * table_.numPq());
   for (int d = 0; d < table_.numDistances(); ++d)
     for (int k = 0; k < table_.numPq(); ++k)
@@ -82,7 +103,7 @@ std::size_t FeatureOperator::batchWorkingSetBytes(int numStates,
       static_cast<std::size_t>(vetSites) * sizeof(Species);
   return alignUp64(tableF32_.size() * sizeof(float)) + alignUp64(vetBytes) +
          alignUp64(maxPlanEntries_ * sizeof(PackedEntry)) +
-         alignUp64(maxPlanSites_ * static_cast<std::size_t>(numStates) *
+         alignUp64(maxPlanRows_[static_cast<std::size_t>(numStates)] *
                    static_cast<std::size_t>(dim()) * sizeof(float));
 }
 
@@ -92,14 +113,12 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
   TKMC_SPAN("sunway.feature_batch");
   require(numFinal >= 0 && numFinal <= kNumJumpDirections,
           "invalid number of final states");
-  const int nRegion = net_.regionSites();
   const int d = dim();
   const int numPq = table_.numPq();
   const int numStates = 1 + numFinal;
   const int numSystems = static_cast<int>(vets.size());
-  const std::size_t stateStride = static_cast<std::size_t>(nRegion) * d;
   const std::size_t systemStride =
-      stateStride * static_cast<std::size_t>(numStates);
+      rows_.systemRows(numFinal) * static_cast<std::size_t>(d);
   // No zero-fill: the dmaPuts below write every row.
   out.resize(systemStride * static_cast<std::size_t>(numSystems));
   if (numSystems == 0) return;
@@ -118,8 +137,9 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
 
   grid_.run([&](CpeContext& cpe) {
     const CpePlan& plan = plans_[static_cast<std::size_t>(cpe.id())];
-    const std::size_t numSites = plan.sites.size();
-    if (numSites == 0) return;
+    const std::size_t numRows =
+        plan.stateRows[static_cast<std::size_t>(numStates)];
+    if (numRows == 0) return;
     Ldm& ldm = cpe.ldm();
 
     // Batch-resident LDM: feature TABLE and this CPE's NET rows are
@@ -132,8 +152,7 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
     cpe.dmaGet(netLdm.data(), plan.entries.data(),
                plan.entries.size() * sizeof(PackedEntry));
     auto vetLdm = ldm.alloc<Species>(static_cast<std::size_t>(nAll));
-    auto featLdm =
-        ldm.alloc<float>(numSites * static_cast<std::size_t>(numStates) * d);
+    auto featLdm = ldm.alloc<float>(numRows * static_cast<std::size_t>(d));
     // TABLE rows of one NET row, split by the species each entry sees:
     // species sp's list starts at sp * maxRowEntries_.
     std::vector<const float*> speciesRows(kNumElements * maxRowEntries_);
@@ -148,7 +167,9 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
           const int target = Cet::jumpTargetId(state - 1);
           std::swap(vetLdm[0], vetLdm[static_cast<std::size_t>(target)]);
         }
-        for (std::size_t si = 0; si < numSites; ++si) {
+        for (std::size_t r = plan.stateRows[static_cast<std::size_t>(state)];
+             r < plan.stateRows[static_cast<std::size_t>(state) + 1]; ++r) {
+          const std::size_t si = plan.rows[r].localSite;
           int counts[kNumElements] = {};
           for (std::size_t e = plan.rowOffsets[si]; e < plan.rowOffsets[si + 1];
                ++e) {
@@ -161,8 +182,7 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
                 tableLdm.data() +
                 static_cast<std::size_t>(entry.distIndex) * numPq;
           }
-          float* f = featLdm.data() +
-                     (static_cast<std::size_t>(state) * numSites + si) * d;
+          float* f = featLdm.data() + r * static_cast<std::size_t>(d);
           std::uint64_t accumulated = 0;
           for (int spi = 0; spi < kNumElements; ++spi) {
             sumRows(speciesRows.data() +
@@ -184,17 +204,13 @@ void FeatureOperator::computeBatch(std::span<const Vet* const> vets,
 
       // One DMA put of everything generated for this system (paper:
       // features kept in LDM until all states are done).
-      for (int state = 0; state < numStates; ++state)
-        for (std::size_t si = 0; si < numSites; ++si) {
-          float* dst = out.data() +
-                       static_cast<std::size_t>(sys) * systemStride +
-                       static_cast<std::size_t>(state) * stateStride +
-                       static_cast<std::size_t>(plan.sites[si]) * d;
-          const float* src =
-              featLdm.data() +
-              (static_cast<std::size_t>(state) * numSites + si) * d;
-          cpe.dmaPut(dst, src, static_cast<std::size_t>(d) * sizeof(float));
-        }
+      for (std::size_t r = 0; r < numRows; ++r) {
+        float* dst = out.data() +
+                     static_cast<std::size_t>(sys) * systemStride +
+                     static_cast<std::size_t>(plan.rows[r].systemRow) * d;
+        const float* src = featLdm.data() + r * static_cast<std::size_t>(d);
+        cpe.dmaPut(dst, src, static_cast<std::size_t>(d) * sizeof(float));
+      }
     }
   });
 }

@@ -2,14 +2,13 @@
 
 #include "common/error.hpp"
 #include "common/telemetry/telemetry.hpp"
-#include "kmc/nnp_energy_model.hpp"
 
 namespace tkmc {
 
 SunwayEnergyModel::SunwayEnergyModel(const Cet& cet, const Net& net,
                                      const FeatureTable& table,
                                      const Network& network, int mBlock)
-    : cet_(cet), features_(net, table, grid_),
+    : cet_(cet), features_(net, table, grid_, RowPlan::hopLocal(net)),
       fusion_(network.foldedSnapshot(), grid_, mBlock) {
   require(network.inputDim() == table.numPq() * kNumElements,
           "network input dimension must match the descriptor");
@@ -40,46 +39,30 @@ std::vector<std::vector<double>> SunwayEnergyModel::stateEnergiesBatch(
   Traffic before;
   if (instrumented) before = grid_.peekTraffic();
 
-  const int nRegion = cet_.nRegion();
-  const int numStates = 1 + numFinal;
-  const int numSystems = static_cast<int>(vets.size());
-
   vetPtrScratch_.assign(vets.begin(), vets.end());
   features_.computeBatch(vetPtrScratch_, numFinal, featureBuffer_);
-  const int m = numSystems * numStates * nRegion;
-  energyBuffer_.resize(static_cast<std::size_t>(m));
-  fusion_.forward(featureBuffer_.data(), m, energyBuffer_.data());
+  const RowPlan& rows = features_.rows();
+  const std::size_t systemRows = rows.systemRows(numFinal);
+  energyBuffer_.resize(systemRows * vets.size());
+  fusion_.forward(featureBuffer_.data(), static_cast<int>(energyBuffer_.size()),
+                  energyBuffer_.data());
 
-  // Per-state reduction with vacancy masking; accumulate the float
-  // atomic energies in double (the MPE-side reduction of the paper).
-  std::vector<std::vector<double>> energies(
-      static_cast<std::size_t>(numSystems));
-  for (int sys = 0; sys < numSystems; ++sys) {
-    const Vet& vet = *vets[static_cast<std::size_t>(sys)];
-    std::vector<double>& systemEnergies =
-        energies[static_cast<std::size_t>(sys)];
-    systemEnergies.assign(static_cast<std::size_t>(numStates), 0.0);
-    for (int s = 0; s < numStates; ++s) {
-      double total = 0.0;
-      const float* atomE =
-          energyBuffer_.data() +
-          (static_cast<std::size_t>(sys) * numStates + s) * nRegion;
-      for (int site = 0; site < nRegion; ++site) {
-        if (stateSpecies(vet, s, site) == Species::kVacancy) continue;
-        total += static_cast<double>(atomE[site]);
-      }
-      systemEnergies[static_cast<std::size_t>(s)] = total;
-    }
+  // The MPE-side per-state reduction, accumulating the float atomic
+  // energies in double.
+  std::vector<std::vector<double>> energies(vets.size());
+  for (std::size_t sys = 0; sys < vets.size(); ++sys) {
+    energies[sys].resize(static_cast<std::size_t>(numFinal) + 1);
+    rows.reduce(*vets[sys], numFinal, energyBuffer_.data() + sys * systemRows,
+                energies[sys].data());
   }
 
   if (instrumented) {
     const Traffic after = grid_.peekTraffic();
     tm::MetricsRegistry& reg = tm::metrics();
     reg.counter("sunway.batch.dispatches").inc();
-    reg.counter("sunway.batch.systems_total")
-        .add(static_cast<std::uint64_t>(numSystems));
+    reg.counter("sunway.batch.systems_total").add(vets.size());
     reg.histogram("sunway.batch.systems", tm::Histogram::batchSizeBounds())
-        .observe(static_cast<double>(numSystems));
+        .observe(static_cast<double>(vets.size()));
     reg.histogram("sunway.dispatch.main_bytes", tm::Histogram::trafficBounds())
         .observe(static_cast<double>(after.mainBytes() - before.mainBytes()));
     reg.histogram("sunway.dispatch.flops", tm::Histogram::trafficBounds())

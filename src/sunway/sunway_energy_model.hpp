@@ -17,6 +17,17 @@ namespace tkmc {
 /// SW26010-pro core group, in single precision (the paper's Sec. 3.4-3.5
 /// pipeline, end to end).
 ///
+/// The operators are fed only the rows of RowPlan::hopLocal(): every
+/// region site of the initial state, then Net::affectedSites(k) for each
+/// final state (235 of 531 rows per system at 4.0 A). RowPlan::reduce()
+/// takes a final state's unaffected sites from the initial state's float
+/// atomic energies and sums in site order. An unaffected row's features
+/// are bitwise the initial state's and detail::fusedConvTile is
+/// row-independent, so every energy is bitwise what the full-row
+/// pipeline gives. The operator-level figure benches (Fig. 9-13) keep
+/// FeatureOperator's full row plan: their DMA, RMA and flop counts are
+/// the reproduced quantities.
+///
 /// Numerically this is the float counterpart of NnpEnergyModel: same
 /// tables, same network (via the folded snapshot), so per-state energies
 /// agree to single-precision accumulation error. Trajectories driven by
@@ -34,8 +45,9 @@ class SunwayEnergyModel : public EnergyModel {
 
   /// Batched evaluation: one feature dispatch with the TABLE and packed
   /// NET LDM-resident across all systems, one big-fusion forward over
-  /// the concatenated feature matrix (tile count scales with the batch,
-  /// keeping all CPE columns busy), then the per-state MPE reductions.
+  /// the concatenated hop-local feature matrix (tile count scales with
+  /// the batch, keeping all CPE columns busy), then the per-state MPE
+  /// reductions.
   /// Bit-identical to per-system stateEnergiesFromVet() calls in order.
   /// While telemetry is enabled, records the batch-size histogram and
   /// per-dispatch traffic (sunway.batch.*, sunway.dispatch.*).

@@ -40,4 +40,15 @@ class Vet {
   std::vector<Species> types_;
 };
 
+/// Species of CET site `siteId` in state `state` (0 = initial, k > 0 =
+/// after the hop to jump target k), given the initial-state VET. Shared
+/// by every backend so masking logic cannot diverge.
+inline Species stateSpecies(const Vet& vet, int state, int siteId) {
+  if (state == 0) return vet[siteId];
+  const int target = Cet::jumpTargetId(state - 1);
+  if (siteId == 0) return vet[target];
+  if (siteId == target) return vet[0];
+  return vet[siteId];
+}
+
 }  // namespace tkmc

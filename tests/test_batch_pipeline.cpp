@@ -226,41 +226,70 @@ TEST_F(BatchPipelineTest, ModeledDispatchCostAmortizesWithBatchSize) {
 TEST_F(BatchPipelineTest, LdmOverflowFiresWithClearMessage) {
   // A grid whose scratchpads cannot even hold the feature TABLE: the
   // batched dispatch must refuse upfront, naming the working set and the
-  // capacity, instead of dying inside the bump allocator.
+  // capacity, instead of dying inside the bump allocator — under the
+  // full row plan and the hop-local one SunwayEnergyModel runs.
   ArchSpec tiny;
   tiny.ldmBytes = 512;
-  CpeGrid grid(tiny);
-  FeatureOperator op(net_, table_, grid);
-  Vet vet = Vet::gather(cet_, state_, lattice_.wrap(state_.vacancies()[0]));
-  const Vet* one = &vet;
-  std::vector<float> out;
-  try {
-    op.computeBatch({&one, 1}, kNumJumpDirections, out);
-    FAIL() << "expected the LDM working-set require to fire";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("batched feature working set"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("exceeds LDM capacity"), std::string::npos) << what;
+  for (const RowPlan& plan : {RowPlan::full(net_), RowPlan::hopLocal(net_)}) {
+    CpeGrid grid(tiny);
+    FeatureOperator op(net_, table_, grid, plan);
+    Vet vet = Vet::gather(cet_, state_, lattice_.wrap(state_.vacancies()[0]));
+    const Vet* one = &vet;
+    std::vector<float> out;
+    try {
+      op.computeBatch({&one, 1}, kNumJumpDirections, out);
+      FAIL() << "expected the LDM working-set require to fire";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("batched feature working set"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("exceeds LDM capacity"), std::string::npos) << what;
+    }
   }
 }
 
 TEST_F(BatchPipelineTest, WorkingSetIsConstantInBatchSize) {
   // LDM residency means the per-CPE working set must not grow with the
   // batch; that is what makes arbitrarily large dirty sets dispatchable.
-  CpeGrid grid;
-  FeatureOperator op(net_, table_, grid);
   std::vector<Vet> vets = gatherAll();
   std::vector<const Vet*> ptrs;
   for (Vet& vet : vets) ptrs.push_back(&vet);
-  std::vector<float> out;
+  for (const RowPlan& plan : {RowPlan::full(net_), RowPlan::hopLocal(net_)}) {
+    CpeGrid grid;
+    FeatureOperator op(net_, table_, grid, plan);
+    std::vector<float> out;
+    op.computeBatch({ptrs.data(), 1}, kNumJumpDirections, out);
+    const std::size_t oneSystem = grid.maxLdmHighWater();
+    op.computeBatch(ptrs, kNumJumpDirections, out);
+    const std::size_t wholeBatch = grid.maxLdmHighWater();
+    EXPECT_EQ(oneSystem, wholeBatch);
+    EXPECT_LE(wholeBatch, grid.spec().ldmBytes);
+  }
+}
 
-  op.computeBatch({ptrs.data(), 1}, kNumJumpDirections, out);
-  const std::size_t oneSystem = grid.maxLdmHighWater();
-  op.computeBatch(ptrs, kNumJumpDirections, out);
-  const std::size_t wholeBatch = grid.maxLdmHighWater();
-  EXPECT_EQ(oneSystem, wholeBatch);
-  EXPECT_LE(wholeBatch, grid.spec().ldmBytes);
+TEST(BatchPipelineWorkingSet, FeatureBlockSizedFromOwnedRows) {
+  // At 6.5 A each CPE owns 3 or 4 of the 253 region sites, and a final
+  // state evaluates only those its hop changes: the most rows one CPE
+  // computes for 9 states falls from 36 to 24, and the working set by
+  // those 12 rows of 64 floats. The kernel stays within the estimate.
+  const Cet cet(2.87, kDefaultCutoff);
+  const Net net(cet);
+  const FeatureTable table(net.distances(), standardPqSets());
+  Vet vet(cet.nAll());
+  vet.set(0, Species::kVacancy);
+  const Vet* one = &vet;
+  const auto workingSet = [&](const RowPlan& plan) {
+    CpeGrid grid;
+    FeatureOperator op(net, table, grid, plan);
+    const std::size_t bytes =
+        op.batchWorkingSetBytes(1 + kNumJumpDirections, cet.nAll());
+    std::vector<float> out;
+    op.computeBatch({&one, 1}, kNumJumpDirections, out);
+    EXPECT_LE(grid.maxLdmHighWater(), bytes + 63);
+    return bytes;
+  };
+  EXPECT_EQ(workingSet(RowPlan::full(net)), 13248u);
+  EXPECT_EQ(workingSet(RowPlan::hopLocal(net)), 13248u - 12u * 64u * 4u);
 }
 
 TEST_F(BatchPipelineTest, BatchRejectsMismatchedVetSizes) {

@@ -142,17 +142,37 @@ TEST_F(FeatureOperatorTest, FewerFinalStatesProduceSmallerOutput) {
     EXPECT_EQ(all[i], initialOnly[i]);
 }
 
+// The rows `plan` lists, in its layout, out of the oracle's full
+// [system][state][site] feature matrix.
+std::vector<float> planRows(const std::vector<float>& full, const RowPlan& plan,
+                            std::size_t numSystems, int numFinal,
+                            std::size_t d) {
+  const std::size_t stateFloats =
+      static_cast<std::size_t>(plan.regionSites()) * d;
+  std::vector<float> out;
+  const float* state = full.data();
+  for (std::size_t sys = 0; sys < numSystems; ++sys)
+    for (int s = 0; s <= numFinal; ++s, state += stateFloats)
+      for (const int site : plan.sites(s)) {
+        const float* row = state + static_cast<std::size_t>(site) * d;
+        out.insert(out.end(), row, row + d);
+      }
+  return out;
+}
+
 // Runs computeBatch over numFinal 0..8 and batches of 1 to 40 random
-// systems, asserting bit-equality with the float oracle; returns the
-// accumulated traffic and modeled seconds.
+// systems with the row plan `plan`, asserting bit-equality with the
+// float oracle's rows; returns the accumulated traffic and modeled
+// seconds.
 struct SweepTotals {
   Traffic traffic;
   double modeledSeconds = 0.0;
 };
 
 SweepTotals sweepAgainstReference(const Cet& cet, const Net& net,
-                                  const FeatureTable& table, CpeGrid& grid) {
-  const FeatureOperator op(net, table, grid);
+                                  const FeatureTable& table, CpeGrid& grid,
+                                  const RowPlan& plan) {
+  const FeatureOperator op(net, table, grid, plan);
   Rng rng(2024);
   SweepTotals totals;
   for (int numFinal = 0; numFinal <= kNumJumpDirections; ++numFinal)
@@ -166,7 +186,8 @@ SweepTotals sweepAgainstReference(const Cet& cet, const Net& net,
       std::vector<float> out;
       op.computeBatch(ptrs, numFinal, out);
       const std::vector<float> expected =
-          referenceFeatures(net, table, vets, numFinal);
+          planRows(referenceFeatures(net, table, vets, numFinal), plan,
+                   vets.size(), numFinal, static_cast<std::size_t>(op.dim()));
       EXPECT_EQ(out.size(), expected.size());
       if (out.size() != expected.size()) return totals;
       for (std::size_t i = 0; i < out.size(); ++i)
@@ -184,7 +205,8 @@ SweepTotals sweepAgainstReference(const Cet& cet, const Net& net,
 
 TEST_F(FeatureOperatorTest, BatchIsBitExactAgainstFloatReference) {
   CpeGrid grid;
-  const SweepTotals totals = sweepAgainstReference(cet_, net_, table_, grid);
+  const SweepTotals totals =
+      sweepAgainstReference(cet_, net_, table_, grid, RowPlan::full(net_));
   // Pinned accounting: the kernel's inner loop may change; the modeled
   // CPE traffic, arithmetic, time and scratchpad footprint may not.
   EXPECT_EQ(totals.traffic.mainReadBytes, 6661395u);
@@ -195,6 +217,27 @@ TEST_F(FeatureOperatorTest, BatchIsBitExactAgainstFloatReference) {
   // The scratchpad plan too. (The measured high-water mark also carries
   // the host arena's base misalignment, so it is only bounded here.)
   const FeatureOperator op(net_, table_, grid);
+  EXPECT_EQ(op.batchWorkingSetBytes(1 + kNumJumpDirections, cet_.nAll()),
+            2816u);
+  EXPECT_LE(grid.maxLdmHighWater(), 2816u + 63u);
+}
+
+TEST_F(FeatureOperatorTest, HopLocalBatchIsBitExactAgainstFloatReference) {
+  // The same sweep over only the rows a hop changes: every read of the
+  // resident TABLE, NET rows and VETs stays, while feature writes follow
+  // the rows (1,323 of 2,655 per system over numFinal 0..8, 235 of 531
+  // at numFinal 8) and so, roughly, do the flops.
+  CpeGrid grid;
+  const SweepTotals totals =
+      sweepAgainstReference(cet_, net_, table_, grid, RowPlan::hopLocal(net_));
+  EXPECT_EQ(totals.traffic.mainReadBytes, 6661395u);
+  EXPECT_EQ(totals.traffic.mainWriteBytes, 22014720u);
+  EXPECT_EQ(totals.traffic.rmaBytes, 0u);
+  EXPECT_EQ(totals.traffic.flops, 34584896u);
+  EXPECT_DOUBLE_EQ(totals.modeledSeconds, 0.0010100803710937504);
+  // Site 0 is affected by every hop, so its CPE still owns 9 rows at
+  // 4.0 A and the working set is the full plan's.
+  const FeatureOperator op(net_, table_, grid, RowPlan::hopLocal(net_));
   EXPECT_EQ(op.batchWorkingSetBytes(1 + kNumJumpDirections, cet_.nAll()),
             2816u);
   EXPECT_LE(grid.maxLdmHighWater(), 2816u + 63u);
@@ -211,8 +254,10 @@ TEST_P(FeatureOperatorWidthSweep, BitExactAgainstFloatReference) {
   for (int i = 0; i < GetParam(); ++i)
     pq.push_back({4.2 - 0.05 * i, 1.85 + 0.03 * i});
   const FeatureTable table(net.distances(), pq);
-  CpeGrid grid;
-  sweepAgainstReference(cet, net, table, grid);
+  for (const RowPlan& plan : {RowPlan::full(net), RowPlan::hopLocal(net)}) {
+    CpeGrid grid;
+    sweepAgainstReference(cet, net, table, grid, plan);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(NumPq, FeatureOperatorWidthSweep,

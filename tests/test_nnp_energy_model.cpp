@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "common/constants.hpp"
 #include "common/rng.hpp"
 #include "kmc/nnp_energy_model.hpp"
+#include "kmc/serial_engine.hpp"
 
 namespace tkmc {
 namespace {
@@ -154,6 +156,39 @@ TEST_P(NnpEnergyModelOracle, MixedSizeBatchesEqualFullRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Cutoffs, NnpEnergyModelOracle,
                          ::testing::Values(4.0, kDefaultCutoff));
+
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// Golden fingerprint of a serial trajectory driven by the double NNP
+// backend: 14^3 cells, 15% Cu, 3 vacancies, cutoff 4.0 A, a fixed-seed
+// He-initialized {64,16,16,1} network, engine seed 42, 200 steps.
+constexpr std::uint32_t kGoldenNnpHash = 0xa4c78ddfu;
+constexpr std::uint64_t kGoldenNnpTime = 0x3ec74e4ce7d96875ull;
+
+TEST(NnpEnergyModelGolden, SerialTrajectoryBitIdentical) {
+  const Cet cet(kLatticeConstantFe, 4.0);
+  const Net net(cet);
+  const FeatureTable table(net.distances(), standardPqSets());
+  Network network({64, 16, 16, 1});
+  Rng rng(7);
+  network.initHe(rng);
+  LatticeState state(BccLattice(14, 14, 14, kLatticeConstantFe));
+  Rng arng(8);
+  state.randomAlloy(0.15, 3, arng);
+  NnpEnergyModel model(cet, net, table, network);
+  KmcConfig cfg;
+  cfg.seed = 42;
+  cfg.tEnd = 1e300;
+  SerialEngine engine(state, model, cet, cfg);
+  for (int i = 0; i < 200; ++i) engine.step();
+  EXPECT_EQ(state.contentHash(), kGoldenNnpHash);
+  EXPECT_EQ(bits(engine.time()), kGoldenNnpTime);
+  EXPECT_EQ(engine.steps(), 200u);
+}
 
 }  // namespace
 }  // namespace tkmc

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/rng.hpp"
 #include "kmc/nnp_energy_model.hpp"
 #include "kmc/serial_engine.hpp"
+#include "parallel/parallel_engine.hpp"
 
 namespace tkmc {
 namespace {
@@ -109,6 +113,198 @@ TEST_F(SunwayModelTest, MultiVacancyMaskingMatchesReference) {
   const auto b = reference.stateEnergies(crowded, {6, 6, 6}, kNumJumpDirections);
   for (std::size_t s = 0; s < a.size(); ++s)
     EXPECT_NEAR(a[s], b[s], 1e-4 * std::max(1.0, std::abs(b[s])));
+}
+
+// SunwayEnergyModel feeds the CPE operators only the rows of
+// RowPlan::hopLocal() and takes every other site's atomic energy from
+// the initial state. The contract is bitwise: every state energy must
+// equal the full-row pipeline — FeatureOperator::compute over every site
+// of every state, one BigFusionOperator::forward over all those rows,
+// and a site-order sum with the state's vacancies masked — through the
+// single-system path and through batches of every size.
+class SunwayFullRows {
+ public:
+  SunwayFullRows(const Net& net, const FeatureTable& table,
+                 const Network& network)
+      : features_(net, table, grid_), fusion_(network.foldedSnapshot(), grid_) {
+    fusion_.loadModel();
+  }
+
+  std::vector<double> energies(const Vet& vet, int numFinal) {
+    features_.compute(vet, numFinal, featureBuffer_);
+    const int nRegion = features_.regionSites();
+    const int m = (1 + numFinal) * nRegion;
+    std::vector<float> atomE(static_cast<std::size_t>(m));
+    fusion_.forward(featureBuffer_.data(), m, atomE.data());
+    std::vector<double> out;
+    for (int s = 0; s <= numFinal; ++s) {
+      Vet state = vet;
+      if (s > 0) state.swap(0, Cet::jumpTargetId(s - 1));
+      double total = 0.0;
+      for (int site = 0; site < nRegion; ++site) {
+        if (state[site] == Species::kVacancy) continue;
+        total += static_cast<double>(
+            atomE[static_cast<std::size_t>(s * nRegion + site)]);
+      }
+      out.push_back(total);
+    }
+    return out;
+  }
+
+ private:
+  CpeGrid grid_;
+  FeatureOperator features_;
+  BigFusionOperator fusion_;
+  std::vector<float> featureBuffer_;
+};
+
+int pick(Rng& rng, std::size_t n) {
+  return static_cast<int>(rng.uniformBelow(n));
+}
+
+class SunwayEnergyModelOracle : public ::testing::TestWithParam<double> {
+ protected:
+  SunwayEnergyModelOracle()
+      : cet_(kLatticeConstantFe, GetParam()), net_(cet_),
+        table_(net_.distances(), standardPqSets()),
+        network_({64, 16, 16, 1}) {
+    Rng rng(43);
+    network_.initHe(rng);
+    for (int li = 0; li < network_.numLayers(); ++li)
+      for (double& b : network_.layer(li).bias) b = rng.uniform() - 0.5;
+    std::vector<double> shift(64), scale(64);
+    for (std::size_t c = 0; c < shift.size(); ++c) {
+      shift[c] = rng.uniform();
+      scale[c] = 0.5 + rng.uniform();
+    }
+    network_.setInputTransform(shift, scale);
+  }
+
+  // A random vacancy system: an Fe-Cu environment around the vacancy at
+  // site 0, plus extra vacancies on a jump target, on a site some hop
+  // changes, and on an unchanged site that neighbours a changed one (so
+  // masking and row reuse both see vacancies).
+  Vet randomSystem(Rng& rng) const {
+    Vet vet(cet_.nAll());
+    for (int id = 1; id < cet_.nAll(); ++id)
+      vet.set(id, rng.uniform() < 0.3 ? Species::kCu : Species::kFe);
+    vet.set(0, Species::kVacancy);
+    const auto affected = net_.affectedSites(pick(rng, kNumJumpDirections));
+    if (rng.uniform() < 0.5)
+      vet.set(Cet::jumpTargetId(pick(rng, kNumJumpDirections)),
+              Species::kVacancy);
+    if (rng.uniform() < 0.7)
+      vet.set(affected[static_cast<std::size_t>(pick(rng, affected.size()))],
+              Species::kVacancy);
+    if (rng.uniform() < 0.7) {
+      const int site =
+          affected[static_cast<std::size_t>(pick(rng, affected.size()))];
+      std::vector<int> unaffected;
+      for (const Net::Entry& e : net_.neighbors(site))
+        if (!std::binary_search(affected.begin(), affected.end(), e.siteId))
+          unaffected.push_back(e.siteId);
+      if (!unaffected.empty())
+        vet.set(unaffected[static_cast<std::size_t>(
+                    pick(rng, unaffected.size()))],
+                Species::kVacancy);
+    }
+    return vet;
+  }
+
+  Cet cet_;
+  Net net_;
+  FeatureTable table_;
+  Network network_;
+};
+
+TEST_P(SunwayEnergyModelOracle, SingleSystemEqualsFullRows) {
+  SunwayEnergyModel model(cet_, net_, table_, network_);
+  SunwayFullRows reference(net_, table_, network_);
+  Rng rng(303);
+  for (int i = 0; i < 120; ++i) {
+    Vet vet = randomSystem(rng);
+    const Vet before = vet;
+    const int numFinal = i % (kNumJumpDirections + 1);
+    const std::vector<double> energies =
+        model.stateEnergiesFromVet(vet, numFinal);
+    EXPECT_EQ(vet.data(), before.data()) << "system " << i;
+    const std::vector<double> expected = reference.energies(vet, numFinal);
+    ASSERT_EQ(energies.size(), expected.size());
+    for (std::size_t s = 0; s < expected.size(); ++s)
+      EXPECT_EQ(energies[s], expected[s])
+          << "system " << i << ", state " << s << " of " << numFinal;
+  }
+}
+
+TEST_P(SunwayEnergyModelOracle, MixedSizeBatchesEqualFullRows) {
+  SunwayEnergyModel model(cet_, net_, table_, network_);
+  SunwayFullRows reference(net_, table_, network_);
+  Rng rng(404);
+  int batchIndex = 0;
+  for (const int batchSize : {1, 2, 3, 5, 8, 13, 21, 34, 1, 40}) {
+    std::vector<Vet> vets;
+    for (int i = 0; i < batchSize; ++i) vets.push_back(randomSystem(rng));
+    const std::vector<Vet> before = vets;
+    std::vector<Vet*> ptrs;
+    for (Vet& v : vets) ptrs.push_back(&v);
+    const int numFinal = batchIndex++ % (kNumJumpDirections + 1);
+    const auto batch = model.stateEnergiesBatch(ptrs, numFinal);
+    ASSERT_EQ(batch.size(), vets.size());
+    for (int i = 0; i < batchSize; ++i) {
+      const Vet& vet = vets[static_cast<std::size_t>(i)];
+      EXPECT_EQ(vet.data(), before[static_cast<std::size_t>(i)].data());
+      const std::vector<double> expected = reference.energies(vet, numFinal);
+      ASSERT_EQ(batch[static_cast<std::size_t>(i)].size(), expected.size());
+      for (std::size_t s = 0; s < expected.size(); ++s)
+        EXPECT_EQ(batch[static_cast<std::size_t>(i)][s], expected[s])
+            << "batch of " << batchSize << ", system " << i << ", state "
+            << s << " of " << numFinal;
+    }
+  }
+  EXPECT_TRUE(model.stateEnergiesBatch({}, kNumJumpDirections).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Cutoffs, SunwayEnergyModelOracle,
+                         ::testing::Values(4.0, kDefaultCutoff));
+
+std::uint64_t bits(double d) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof(u));
+  return u;
+}
+
+// Golden fingerprint of a parallel trajectory driven by the Sunway
+// backend: 2x1x1 in-process ranks, 16^3 cells, 12% Cu, 8 vacancies,
+// cutoff 4.0 A, a fixed-seed He-initialized {64,16,16,1} network, engine
+// seed 61, t_stop 1e-7 s, 16 cycles. Any change to the feature or
+// big-fusion kernels, the row set they are fed or the per-state
+// reduction that moves a single bit of an energy moves these pins.
+constexpr std::uint32_t kGoldenSunwayHash = 0x729550ccu;
+constexpr std::uint64_t kGoldenSunwayEvents = 58;
+constexpr std::uint64_t kGoldenSunwayDiscarded = 7;
+constexpr std::uint64_t kGoldenSunwayTime = 0x3ebad7f29abcaf46ull;
+
+TEST(SunwayNnpGolden, ParallelTrajectoryBitIdentical) {
+  const Cet cet(2.87, 4.0);
+  const Net net(cet);
+  const FeatureTable table(net.distances(), standardPqSets());
+  Network network({64, 16, 16, 1});
+  Rng rng(7);
+  network.initHe(rng);
+  LatticeState state(BccLattice(16, 16, 16, 2.87));
+  Rng arng(51);
+  state.randomAlloy(0.12, 8, arng);
+  SunwayEnergyModel model(cet, net, table, network);
+  ParallelConfig cfg;
+  cfg.seed = 61;
+  cfg.tStop = 1e-7;
+  cfg.rankGrid = {2, 1, 1};
+  ParallelEngine engine(state, model, cet, cfg);
+  for (int c = 0; c < 16; ++c) engine.runCycle();
+  EXPECT_EQ(engine.assembleGlobalState().contentHash(), kGoldenSunwayHash);
+  EXPECT_EQ(engine.totalEvents(), kGoldenSunwayEvents);
+  EXPECT_EQ(engine.discardedEvents(), kGoldenSunwayDiscarded);
+  EXPECT_EQ(bits(engine.time()), kGoldenSunwayTime);
 }
 
 }  // namespace
