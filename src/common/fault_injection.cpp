@@ -210,7 +210,8 @@ const std::vector<FaultPointInfo>& faultPointCatalog() {
        "EventCatalog::evaluateChecked(): corrupts one evaluated propensity "
        "to NaN"},
       {"checkpoint.corrupt_write",
-       "serial saveCheckpoint(): flips a byte in the checkpoint body"},
+       "serial saveCheckpoint(): flips a body byte after the CRC is "
+       "sealed"},
       {"checkpoint.shard_corrupt_write",
        "CheckpointStore::stageShard(): rots a staged shard's bits after "
        "its CRC is recorded"},
@@ -233,7 +234,7 @@ const std::vector<FaultPointInfo>& faultPointCatalog() {
        "RemoteShardStore::put(): writes only half the object (a "
        "half-streamed remote epoch)"},
       {"telemetry.write_tear",
-       "telemetry writeFileAtomic(): crashes after a partial temp-file "
+       "telemetry publishJson(): crashes after a partial temp-file "
        "write, before the rename"},
   };
   return kCatalog;

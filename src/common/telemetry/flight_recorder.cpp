@@ -3,10 +3,10 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/sealed_file.hpp"
 
 namespace tkmc::telemetry {
 namespace {
@@ -154,23 +154,14 @@ void FlightRecorder::writeDump(const std::string& path, int rank,
   const auto* eventBytes = reinterpret_cast<const std::uint8_t*>(events.data());
   const std::size_t eventByteCount = events.size() * sizeof(BlackboxEvent);
   const std::uint32_t crc = crc32(eventBytes, eventByteCount);
+  std::string bytes;
+  bytes.reserve(sizeof(header) + eventByteCount + sizeof(crc));
+  bytes.append(reinterpret_cast<const char*>(&header), sizeof(header));
+  bytes.append(reinterpret_cast<const char*>(eventBytes), eventByteCount);
+  bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
   // Same crash-safety idiom as checkpoint commits: a torn dump must
   // never shadow a complete one under the final name.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    require(out.good(), "cannot open blackbox dump path: " + tmp);
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(eventBytes),
-              static_cast<std::streamsize>(eventByteCount));
-    out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-    require(out.good(), "failed writing blackbox dump: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw IoError("cannot publish blackbox dump " + path + ": " +
-                  ec.message());
+  publishAtomic(path, bytes);
 }
 
 int FlightRecorder::dumpAll() const noexcept {
@@ -218,10 +209,7 @@ void FlightRecorder::reset() {
 }
 
 FlightRecorder::Dump FlightRecorder::readDump(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw IoError("cannot open blackbox dump: " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::string bytes = readWholeFile(path);
   if (bytes.size() < sizeof(DumpHeader) + sizeof(std::uint32_t))
     throw IoError("blackbox dump truncated: " + path);
   DumpHeader header;

@@ -3,11 +3,11 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "common/sealed_file.hpp"
 
 namespace tkmc::telemetry {
 
@@ -220,29 +220,17 @@ JsonValue JsonValue::parse(const std::string& text) {
   return Parser(text).parseDocument();
 }
 
-void writeFileAtomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) throw IoError("cannot open telemetry path: " + tmp);
-    if (faultFires("telemetry.write_tear")) {
-      // Simulated crash mid-dump: half the content reaches the temp
-      // file, the rename never happens, and the previous `path` (if
-      // any) must survive untouched.
-      out.write(content.data(),
-                static_cast<std::streamsize>(content.size() / 2));
-      out.flush();
-      throw IoError("injected telemetry write tear: " + tmp);
-    }
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    out << "\n";
-    if (!out.good()) throw IoError("failed writing telemetry file: " + tmp);
+void publishJson(const std::string& path, const std::string& json) {
+  const std::string text = json + "\n";
+  if (faultFires("telemetry.write_tear")) {
+    // Simulated crash mid-dump: half the text reaches the temp file, the
+    // rename never happens, and the previous `path` (if any) survives
+    // untouched.
+    publishAtomic(path + ".tmp",
+                  std::string_view(text).substr(0, text.size() / 2));
+    throw IoError("injected telemetry write tear: " + path + ".tmp");
   }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec)
-    throw IoError("cannot publish telemetry file " + path + ": " +
-                  ec.message());
+  publishAtomic(path, text);
 }
 
 }  // namespace tkmc::telemetry

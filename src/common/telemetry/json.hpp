@@ -10,13 +10,13 @@ namespace tkmc::telemetry {
 /// Escapes a string for embedding inside JSON double quotes.
 std::string escapeJson(const std::string& s);
 
-/// Crash-safe file write: the content lands in `path + ".tmp"` first and
-/// is renamed over `path` only once fully flushed — the same idiom
-/// checkpoint commits use — so a fault mid-dump never leaves a torn file
-/// under the final name. Throws IoError on any failure. The fault point
-/// "telemetry.write_tear" (see common/fault_injection.hpp) simulates a
-/// crash after a partial temp write.
-void writeFileAtomic(const std::string& path, const std::string& content);
+/// Publishes `json` plus a trailing newline at `path` through
+/// publishAtomic() (temp file, then rename), so a fault mid-dump never
+/// leaves a torn file under the final name. Throws IoError on any
+/// failure. The fault point "telemetry.write_tear" (see
+/// common/fault_injection.hpp) simulates a crash after a partial temp
+/// write.
+void publishJson(const std::string& path, const std::string& json);
 
 /// Minimal JSON document model, enough to round-trip the telemetry
 /// outputs (metrics snapshots, Chrome trace files) in tests and tools.

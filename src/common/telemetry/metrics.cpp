@@ -206,7 +206,7 @@ std::string MetricsRegistry::toJson() const {
 }
 
 void MetricsRegistry::writeJson(const std::string& path) const {
-  writeFileAtomic(path, toJson());
+  publishJson(path, toJson());
 }
 
 void MetricsRegistry::reset() {

@@ -150,7 +150,7 @@ std::string Tracer::toJson() const {
 }
 
 void Tracer::writeJson(const std::string& path) const {
-  writeFileAtomic(path, toJson());
+  publishJson(path, toJson());
 }
 
 void Tracer::reset() {

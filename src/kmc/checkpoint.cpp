@@ -1,30 +1,28 @@
 #include "kmc/checkpoint.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <system_error>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "common/sealed_file.hpp"
+#include "lattice/packed_hex.hpp"
 
 namespace tkmc {
 namespace {
 
-constexpr int kCurrentVersion = 3;
-
-std::string encodeBody(const LatticeState& state, const SerialEngine& engine,
-                       int version) {
+std::string encodeBody(const LatticeState& state, const SerialEngine& engine) {
   const BccLattice& lat = state.lattice();
   const SerialEngine::Checkpoint cp = engine.checkpoint();
   std::string body;
-  body.reserve(static_cast<std::size_t>(lat.siteCount()) / (version >= 3 ? 2 : 1) +
+  body.reserve(static_cast<std::size_t>(lat.siteCount()) / 2 +
                state.vacancies().size() * 12 + 256);
   char line[256];
-  std::snprintf(line, sizeof(line), "tensorkmc-checkpoint %d\n", version);
-  body += line;
+  body += "tensorkmc-checkpoint 3\n";
   std::snprintf(line, sizeof(line), "%d %d %d %.17g\n", lat.cellsX(),
                 lat.cellsY(), lat.cellsZ(), lat.latticeConstant());
   body += line;
@@ -40,96 +38,14 @@ std::string encodeBody(const LatticeState& state, const SerialEngine& engine,
     std::snprintf(line, sizeof(line), "%d %d %d\n", v.x, v.y, v.z);
     body += line;
   }
-  if (version >= 3) {
-    // v3 occupation: CET-packed, four 2-bit species codes per byte in
-    // site-id order, emitted as two lowercase hex digits per byte, 80
-    // hex digits (160 sites) per line. Halves the body versus the
-    // one-digit-per-site v1/v2 form and round-trips the packed store
-    // without ever expanding to a dense array.
-    static const char* kHex = "0123456789abcdef";
-    std::uint8_t packed = 0;
-    int slot = 0;
-    std::size_t emitted = 0;
-    state.forEachSite([&](BccLattice::SiteId, Species s) {
-      packed = static_cast<std::uint8_t>(
-          packed | (static_cast<unsigned>(s) << (2 * slot)));
-      if (++slot == 4) {
-        body += kHex[packed >> 4];
-        body += kHex[packed & 0xf];
-        packed = 0;
-        slot = 0;
-        if (++emitted % 40 == 0) body += '\n';
-      }
-    });
-    if (slot != 0) {
-      body += kHex[packed >> 4];
-      body += kHex[packed & 0xf];
-      ++emitted;
-    }
-    if (emitted % 40 != 0) body += '\n';
-  } else {
-    // v1/v2 occupation: one digit per site (0=Fe, 1=Cu, 2=vacancy),
-    // 80/line.
-    std::size_t written = 0;
-    state.forEachSite([&](BccLattice::SiteId, Species s) {
-      body += static_cast<char>('0' + static_cast<int>(s));
-      if (++written % 80 == 0) body += '\n';
-    });
-    if (written % 80 != 0) body += '\n';
-  }
+  // Occupation in site-id order, streamed into the packed-hex form
+  // without ever expanding to a dense array.
+  PackedHexEncoder encoder(body);
+  state.forEachSite([&](BccLattice::SiteId, Species s) {
+    encoder.put(static_cast<std::uint8_t>(s));
+  });
+  encoder.finish();
   return body;
-}
-
-}  // namespace
-
-void writeFileAtomic(const std::string& path, const std::string& contents) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    throw IoError("cannot open checkpoint temp file for writing: " + tmp);
-  const std::size_t written =
-      std::fwrite(contents.data(), 1, contents.size(), f);
-  const bool ok = written == contents.size() && std::fflush(f) == 0 &&
-                  std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    throw IoError("failed writing checkpoint temp file: " + tmp);
-  }
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec))
-    std::filesystem::rename(path, path + ".bak", ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot rotate checkpoint backup for " + path + ": " +
-                  ec.message());
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
-    throw IoError("cannot move checkpoint into place at " + path + ": " +
-                  ec.message());
-  }
-}
-
-namespace {
-
-void saveWithVersion(const std::string& path, const LatticeState& state,
-                     const SerialEngine& engine, int version) {
-  std::string body = encodeBody(state, engine, version);
-  // Injectable torn/bit-rotted write: flips a body byte after the CRC is
-  // sealed (v2) or simply ships bad bytes (v1), exercising the load-time
-  // detection and the .bak fallback.
-  std::string footer;
-  if (version >= 2) {
-    char line[32];
-    std::snprintf(line, sizeof(line), "crc32 %08x\n",
-                  crc32(body.data(), body.size()));
-    footer = line;
-  }
-  if (faultFires("checkpoint.corrupt_write") && !body.empty())
-    body[body.size() / 2] ^= 0x01;
-  writeFileAtomic(path, body + footer);
 }
 
 CheckpointData parseCheckpoint(const std::string& contents,
@@ -145,7 +61,8 @@ CheckpointData parseCheckpoint(const std::string& contents,
                   std::to_string(version) + ": " + path);
   CheckpointData data;
   ok = static_cast<bool>(in >> data.cellsX >> data.cellsY >> data.cellsZ >>
-                         data.latticeConstant);
+                         data.latticeConstant) &&
+       data.latticeConstant > 0.0;
   ok = ok && static_cast<bool>(in >> data.engine.time >> data.engine.steps);
   ok = ok && static_cast<bool>(
                  in >> data.engine.rngState[0] >> data.engine.rngState[1] >>
@@ -161,75 +78,32 @@ CheckpointData parseCheckpoint(const std::string& contents,
   // The occupation readers below skip newlines, so no separator handling
   // is needed here. Box dimensions are bounded before any allocation is
   // sized from them: a corrupt header must degrade into IoError (which
-  // the .bak fallback catches), never into std::length_error/bad_alloc
-  // escaping from species.reserve(). The per-axis bound also keeps the
-  // site-count product comfortably inside 64 bits.
+  // the .bak fallback catches), never into std::length_error/bad_alloc.
+  // The per-axis bound also keeps the site-count product comfortably
+  // inside 64 bits.
   constexpr int kMaxCellsPerAxis = 1 << 20;  // far beyond any simulated box
-  std::size_t sites = 0;
-  if (ok && data.cellsX > 0 && data.cellsY > 0 && data.cellsZ > 0 &&
-      data.cellsX <= kMaxCellsPerAxis && data.cellsY <= kMaxCellsPerAxis &&
-      data.cellsZ <= kMaxCellsPerAxis) {
-    sites =
-        2ULL * static_cast<std::size_t>(data.cellsX) * data.cellsY * data.cellsZ;
-    data.species.reserve(sites);
-    if (version >= 3) {
-      // Packed-hex body: each byte (two hex digits) carries four 2-bit
-      // species codes, low slots first.
-      auto hexValue = [](int c) {
-        if (c >= '0' && c <= '9') return c - '0';
-        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-        return -1;
-      };
-      auto nextHex = [&](int& v) {
-        int c;
-        do {
-          c = in.get();
-        } while (c == '\n' || c == '\r');
-        v = c == std::char_traits<char>::eof() ? -1 : hexValue(c);
-        return v >= 0;
-      };
-      while (ok && data.species.size() < sites) {
-        int hi = 0, lo = 0;
-        ok = nextHex(hi) && nextHex(lo);
-        if (!ok) break;
-        const std::uint8_t byte = static_cast<std::uint8_t>((hi << 4) | lo);
-        for (int slot = 0; slot < 4 && data.species.size() < sites; ++slot) {
-          const int code = (byte >> (2 * slot)) & 3;
-          if (code > 2) {
-            ok = false;
-            break;
-          }
-          data.species.push_back(static_cast<Species>(code));
-        }
-      }
-    } else {
-      while (data.species.size() < sites) {
-        const int c = in.get();
-        if (c == std::char_traits<char>::eof()) {
-          ok = false;
-          break;
-        }
-        if (c == '\n' || c == '\r') continue;
-        if (c < '0' || c > '2') {
-          ok = false;
-          break;
-        }
-        data.species.push_back(static_cast<Species>(c - '0'));
-      }
-    }
-  } else {
-    ok = false;
+  if (!ok || data.cellsX <= 0 || data.cellsY <= 0 || data.cellsZ <= 0 ||
+      data.cellsX > kMaxCellsPerAxis || data.cellsY > kMaxCellsPerAxis ||
+      data.cellsZ > kMaxCellsPerAxis)
+    throw IoError("malformed checkpoint file: " + path);
+  const std::size_t sites =
+      2ULL * static_cast<std::size_t>(data.cellsX) * data.cellsY * data.cellsZ;
+  if (version >= 3) {
+    for (const std::uint8_t code : decodePackedHex(in, sites, path))
+      data.species.push_back(static_cast<Species>(code));
+    return data;
   }
-  if (!ok) {
-    // Name the failure mode: a body that stops mid occupation line is
-    // the signature of a torn/truncated file, worth distinguishing from
-    // structural corruption when operators read recovery logs.
-    if (sites > 0 && !data.species.empty() && data.species.size() < sites)
-      throw IoError("checkpoint occupation truncated mid-line: decoded " +
+  // v1/v2 occupation: one digit per site (0=Fe, 1=Cu, 2=vacancy), 80 per
+  // line. Every site takes at least one byte of the file.
+  data.species.reserve(std::min(sites, contents.size()));
+  while (data.species.size() < sites) {
+    const int c = in.get();
+    if (c == '\n' || c == '\r') continue;
+    if (c < '0' || c > '2')
+      throw IoError("checkpoint occupation truncated or corrupt: decoded " +
                     std::to_string(data.species.size()) + " of " +
                     std::to_string(sites) + " sites: " + path);
-    throw IoError("malformed checkpoint file: " + path);
+    data.species.push_back(static_cast<Species>(c - '0'));
   }
   return data;
 }
@@ -245,9 +119,10 @@ LatticeState CheckpointData::restoreState() const {
   for (std::size_t id = 0; id < species.size(); ++id)
     if (species[id] != Species::kVacancy)
       state.setSpecies(static_cast<BccLattice::SiteId>(id), species[id]);
+  const BccLattice& lat = state.lattice();
   for (const Vec3i& v : vacancyOrder) {
-    if (species[static_cast<std::size_t>(state.lattice().siteId(v))] !=
-        Species::kVacancy)
+    if (!BccLattice::isLatticeSite(v) ||
+        species[static_cast<std::size_t>(lat.siteId(v))] != Species::kVacancy)
       throw InvariantError(
           "checkpoint vacancy list disagrees with the occupation");
     state.setSpeciesAt(v, Species::kVacancy);
@@ -259,53 +134,32 @@ LatticeState CheckpointData::restoreState() const {
 
 void saveCheckpoint(const std::string& path, const LatticeState& state,
                     const SerialEngine& engine) {
-  saveWithVersion(path, state, engine, kCurrentVersion);
-}
-
-void saveCheckpointV1(const std::string& path, const LatticeState& state,
-                      const SerialEngine& engine) {
-  saveWithVersion(path, state, engine, 1);
-}
-
-void saveCheckpointV2(const std::string& path, const LatticeState& state,
-                      const SerialEngine& engine) {
-  saveWithVersion(path, state, engine, 2);
+  std::string body = encodeBody(state, engine);
+  const std::size_t middle = body.size() / 2;
+  sealWithCrc(body);
+  // Injectable torn/bit-rotted write: flips a body byte after the CRC is
+  // sealed, exercising the load-time detection and the .bak fallback.
+  if (faultFires("checkpoint.corrupt_write")) body[middle] ^= 0x01;
+  // Rotation happens only once the new file is complete in its temp
+  // file, so a failed write never disturbs the current primary.
+  publishAtomic(path, body, [&path] {
+    std::error_code ec;
+    if (std::filesystem::exists(path, ec))
+      std::filesystem::rename(path, path + ".bak", ec);
+    if (ec)
+      throw IoError("cannot rotate checkpoint backup for " + path + ": " +
+                    ec.message());
+  });
 }
 
 CheckpointData loadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw IoError("cannot open checkpoint: " + path);
-  std::string contents;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    contents.append(buffer, got);
-  const bool readOk = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!readOk) throw IoError("failed reading checkpoint: " + path);
-
-  // Version 2 files end with a "crc32 <hex>" footer sealing everything
-  // before it; verify integrity before parsing.
+  const std::string contents = readWholeFile(path);
+  // Version 2 and later end with a "crc32 <hex>" footer sealing
+  // everything before it; verify integrity before parsing.
   int version = 0;
   if (std::sscanf(contents.c_str(), "tensorkmc-checkpoint %d", &version) == 1 &&
-      version >= 2) {
-    const std::string::size_type foot = contents.rfind("\ncrc32 ");
-    if (foot == std::string::npos)
-      throw IoError("checkpoint missing CRC32 footer (truncated?): " + path);
-    const std::string body = contents.substr(0, foot + 1);
-    unsigned stored = 0;
-    if (std::sscanf(contents.c_str() + foot + 1, "crc32 %8x", &stored) != 1)
-      throw IoError("checkpoint CRC32 footer unreadable: " + path);
-    const std::uint32_t computed = crc32(body.data(), body.size());
-    if (computed != stored) {
-      char detail[64];
-      std::snprintf(detail, sizeof(detail), "(stored %08x, computed %08x)",
-                    stored, computed);
-      throw IoError("checkpoint failed CRC32 check " + std::string(detail) +
-                    ": " + path);
-    }
-    return parseCheckpoint(body, path);
-  }
+      version >= 2)
+    return parseCheckpoint(unseal(contents, path).body, path);
   return parseCheckpoint(contents, path);
 }
 

@@ -20,11 +20,12 @@ namespace tkmc {
 /// species codes per byte, hex-encoded — matching the paged in-memory
 /// store, and seals the file with a `crc32 <hex>` footer computed over
 /// everything before it, so truncation and bit flips are detected at
-/// load instead of silently feeding the engine bad state. Writers are
+/// load instead of silently feeding the engine bad state. The writer is
 /// atomic: the body goes to `<path>.tmp` which is renamed over the
 /// target, and an existing good file is rotated to `<path>.bak` first.
 /// v2 files (one digit per site, CRC footer) and v1 files (no footer)
-/// still load read-only through the same entry points.
+/// from older builds still load, read-only, through the same entry
+/// points; nothing writes them any more.
 struct CheckpointData {
   int cellsX = 0;
   int cellsY = 0;
@@ -38,8 +39,9 @@ struct CheckpointData {
   SerialEngine::Checkpoint engine;
 
   /// Reconstructs the lattice occupation. Throws InvariantError when the
-  /// vacancy list disagrees with the occupation (corrupt or forged
-  /// checkpoint content that passed the format checks).
+  /// vacancy list disagrees with the occupation or names a coordinate
+  /// that is not a lattice site (corrupt or forged checkpoint content
+  /// that passed the format checks).
   LatticeState restoreState() const;
 };
 
@@ -50,22 +52,9 @@ struct CheckpointData {
 void saveCheckpoint(const std::string& path, const LatticeState& state,
                     const SerialEngine& engine);
 
-/// Legacy format-v1 writer (dense digit body, no CRC footer), kept for
-/// compatibility tooling. Shares the atomic temp-file + rename + `.bak`
-/// rotation path, so old callers can no longer tear a checkpoint
-/// mid-write.
-void saveCheckpointV1(const std::string& path, const LatticeState& state,
-                      const SerialEngine& engine);
-
-/// Legacy format-v2 writer (dense digit body, CRC footer), kept so the
-/// v2→v3 load compatibility path stays exercised by files this build
-/// produced itself.
-void saveCheckpointV2(const std::string& path, const LatticeState& state,
-                      const SerialEngine& engine);
-
 /// Reads a checkpoint written by saveCheckpoint() (v3, CRC-verified) or
-/// the legacy v2/v1 writers. Throws IoError on missing files, bad
-/// magic/version, truncation, or CRC mismatch.
+/// by an older build (v2, CRC-verified; v1, no footer). Throws IoError on
+/// missing files, bad magic/version, truncation, or CRC mismatch.
 CheckpointData loadCheckpoint(const std::string& path);
 
 /// Result of a fallback-aware load: the data plus which replica served
@@ -80,13 +69,5 @@ struct CheckpointLoadResult {
 /// packed-hex occupation line). Throws IoError (with both causes) only
 /// when neither replica is loadable.
 CheckpointLoadResult loadCheckpointWithFallback(const std::string& path);
-
-/// Durable write shared by the serial checkpoint and the coordinated
-/// shard/manifest writers: contents go to `<path>.tmp`; an existing
-/// target is rotated to `<path>.bak`; the temp file is renamed over the
-/// target. A crash at any point leaves either the old file, the old
-/// file plus a stray .tmp, or the new file — never a torn file at the
-/// final path. Throws IoError on filesystem failures.
-void writeFileAtomic(const std::string& path, const std::string& contents);
 
 }  // namespace tkmc

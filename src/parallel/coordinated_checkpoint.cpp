@@ -11,8 +11,9 @@
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "common/sealed_file.hpp"
 #include "common/telemetry/telemetry.hpp"
-#include "kmc/checkpoint.hpp"
+#include "lattice/packed_hex.hpp"
 #include "lattice/species_store.hpp"
 #include "parallel/remote_store.hpp"
 
@@ -22,114 +23,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr const char* kManifestName = "manifest.tkm";
-
-std::string readFileOrThrow(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) throw IoError("cannot open checkpoint file: " + path);
-  std::string contents;
-  char buffer[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0)
-    contents.append(buffer, got);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) throw IoError("failed reading checkpoint file: " + path);
-  return contents;
-}
-
-/// Verifies the trailing "crc32 <hex>" footer and returns the body it
-/// seals (newline after the body included in the CRC, matching the
-/// serial checkpoint convention). `crcOut`, when given, receives the
-/// verified body CRC (the delta-chain link value).
-std::string verifiedBody(const std::string& contents, const std::string& path,
-                         std::uint32_t* crcOut = nullptr) {
-  const std::string::size_type foot = contents.rfind("\ncrc32 ");
-  if (foot == std::string::npos)
-    throw IoError("missing CRC32 footer (truncated?): " + path);
-  const std::string body = contents.substr(0, foot + 1);
-  unsigned stored = 0;
-  if (std::sscanf(contents.c_str() + foot + 1, "crc32 %8x", &stored) != 1)
-    throw IoError("CRC32 footer unreadable: " + path);
-  const std::uint32_t computed = crc32(body.data(), body.size());
-  if (computed != stored) {
-    char detail[64];
-    std::snprintf(detail, sizeof(detail), "(stored %08x, computed %08x)",
-                  stored, computed);
-    throw IoError("failed CRC32 check " + std::string(detail) + ": " + path);
-  }
-  if (crcOut != nullptr) *crcOut = computed;
-  return body;
-}
-
-std::string sealWithCrc(std::string body) {
-  char line[32];
-  std::snprintf(line, sizeof(line), "crc32 %08x\n",
-                crc32(body.data(), body.size()));
-  return body + line;
-}
-
-/// CET-packed hex of a one-byte-per-site species run: four 2-bit codes
-/// per byte, 80 hex digits per line (same layout as the v3 checkpoint
-/// body).
-void appendPackedHex(std::string& out, const std::vector<std::uint8_t>& run) {
-  static const char* kHex = "0123456789abcdef";
-  std::uint8_t packed = 0;
-  int slot = 0;
-  std::size_t emitted = 0;
-  for (const std::uint8_t s : run) {
-    packed = static_cast<std::uint8_t>(packed |
-                                       (static_cast<unsigned>(s) << (2 * slot)));
-    if (++slot == 4) {
-      out += kHex[packed >> 4];
-      out += kHex[packed & 0xf];
-      packed = 0;
-      slot = 0;
-      if (++emitted % 40 == 0) out += '\n';
-    }
-  }
-  if (slot != 0) {
-    out += kHex[packed >> 4];
-    out += kHex[packed & 0xf];
-    ++emitted;
-  }
-  if (emitted % 40 != 0) out += '\n';
-}
-
-/// Inverse of appendPackedHex: reads `sites` species codes off `in`.
-std::vector<std::uint8_t> readPackedHex(std::istream& in, std::size_t sites,
-                                        const std::string& path) {
-  const auto hexValue = [](int c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  const auto nextHex = [&](int& v) {
-    int c;
-    do {
-      c = in.get();
-    } while (c == '\n' || c == '\r' || c == ' ');
-    v = c == std::char_traits<char>::eof() ? -1 : hexValue(c);
-    return v >= 0;
-  };
-  std::vector<std::uint8_t> run;
-  run.reserve(sites);
-  while (run.size() < sites) {
-    int hi = 0, lo = 0;
-    if (!nextHex(hi) || !nextHex(lo))
-      throw IoError("shard occupation truncated: decoded " +
-                    std::to_string(run.size()) + " of " +
-                    std::to_string(sites) + " sites: " + path);
-    const std::uint8_t byte = static_cast<std::uint8_t>((hi << 4) | lo);
-    for (int slot = 0; slot < 4 && run.size() < sites; ++slot) {
-      const int code = (byte >> (2 * slot)) & 3;
-      if (code > 2)
-        throw IoError("shard occupation carries invalid species code: " + path);
-      run.push_back(static_cast<std::uint8_t>(code));
-    }
-  }
-  return run;
-}
 
 void expectKeyword(std::istream& in, const char* word,
                    const std::string& path) {
@@ -219,17 +112,16 @@ EpochManifest::ShardEntry CheckpointStore::stageShard(
     appendPackedHex(body, shard.species);
   }
 
-  std::string contents = sealWithCrc(body);
+  EpochManifest::ShardEntry entry;
+  entry.file = "rank_" + std::to_string(shard.rank) + ".tkc";
+  entry.crc = sealWithCrc(body);
+  entry.bytes = body.size();
   // Chaos drill: a shard write whose bits rot between staging and read
   // back. The manifest entry keeps the intended CRC, so validation
   // disqualifies the epoch instead of feeding the engine bad state.
-  if (faultFires("checkpoint.shard_corrupt_write") && !contents.empty())
-    contents[contents.size() / 2] ^= 0x20;
-  EpochManifest::ShardEntry entry;
-  entry.file = "rank_" + std::to_string(shard.rank) + ".tkc";
-  entry.crc = crc32(body.data(), body.size());
-  entry.bytes = contents.size();
-  writeFileAtomic(stagePath(epoch) + "/" + entry.file, contents);
+  if (faultFires("checkpoint.shard_corrupt_write"))
+    body[body.size() / 2] ^= 0x20;
+  publishAtomic(stagePath(epoch) + "/" + entry.file, body);
   if (telemetry::enabled())
     telemetry::metrics()
         .histogram("checkpoint.shard_bytes")
@@ -287,9 +179,9 @@ std::uint32_t CheckpointStore::commitEpoch(const EpochManifest& manifest) {
                   s.crc, s.bytes);
     body += line;
   }
-  const std::uint32_t bodyCrc = crc32(body.data(), body.size());
+  const std::uint32_t bodyCrc = sealWithCrc(body);
   const std::string stage = stagePath(manifest.epoch);
-  writeFileAtomic(stage + "/" + kManifestName, sealWithCrc(std::move(body)));
+  publishAtomic(stage + "/" + kManifestName, body);
 
   // The atomic commit point: readers only ever see `epoch_<N>/` with the
   // manifest and every shard already in place.
@@ -393,14 +285,8 @@ bool CheckpointStore::tryHealFromRemote(std::uint64_t epoch) const {
     fs::remove_all(stage, ec);
     fs::create_directories(stage, ec);
     if (ec) return false;
-    for (const auto& [name, contents] : files) {
-      std::FILE* f = std::fopen((stage + "/" + name).c_str(), "wb");
-      if (f == nullptr) return false;
-      const bool ok =
-          std::fwrite(contents.data(), 1, contents.size(), f) ==
-          contents.size();
-      if (std::fclose(f) != 0 || !ok) return false;
-    }
+    for (const auto& [name, contents] : files)
+      publishAtomic(stage + "/" + name, contents);
     fs::remove_all(epochPath(epoch), ec);
     fs::rename(stage, epochPath(epoch), ec);
     if (ec) return false;
@@ -504,10 +390,8 @@ EpochManifest CheckpointStore::loadManifest(std::uint64_t epoch) const {
 
 EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
   const std::string path = epochPath(epoch) + "/" + kManifestName;
-  std::uint32_t selfCrc = 0;
-  const std::string body =
-      verifiedBody(readFileOrThrow(path), path, &selfCrc);
-  std::istringstream in(body);
+  const Unsealed sealed = unseal(readWholeFile(path), path);
+  std::istringstream in(sealed.body);
   std::string magic;
   int version = 0;
   if (!(in >> magic >> version) || magic != "tensorkmc-manifest")
@@ -516,19 +400,17 @@ EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
     throw IoError("unsupported manifest version " + std::to_string(version) +
                   ": " + path);
   EpochManifest m;
-  m.selfCrc = selfCrc;
+  m.selfCrc = sealed.crc;
   expectKeyword(in, "epoch", path);
   bool ok = static_cast<bool>(in >> m.epoch);
   if (version == 2) {
     expectKeyword(in, "base", path);
     std::uint64_t base = 0;
-    std::string crcHex;
-    ok = ok && static_cast<bool>(in >> base >> crcHex);
-    unsigned crc = 0;
-    ok = ok && std::sscanf(crcHex.c_str(), "%8x", &crc) == 1;
+    std::string crcField;
+    ok = ok && static_cast<bool>(in >> base >> crcField);
     if (ok) {
       m.baseEpoch = base;
-      m.baseCrc = crc;
+      m.baseCrc = parseCrcField(crcField, path);
     }
   }
   expectKeyword(in, "grid", path);
@@ -559,15 +441,13 @@ EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
   ok = ok && static_cast<bool>(in >> shardCount) && shardCount < (1ULL << 20);
   for (std::size_t i = 0; ok && i < shardCount; ++i) {
     EpochManifest::ShardEntry entry;
-    std::string crcHex;
-    ok = static_cast<bool>(in >> entry.file >> crcHex >> entry.bytes);
+    std::string crcField;
+    ok = static_cast<bool>(in >> entry.file >> crcField >> entry.bytes);
     if (ok) {
-      unsigned crc = 0;
-      ok = std::sscanf(crcHex.c_str(), "%8x", &crc) == 1;
-      entry.crc = crc;
+      entry.crc = parseCrcField(crcField, path);
       // Shard names are store-generated; reject anything that could
       // escape the epoch directory.
-      ok = ok && entry.file.find('/') == std::string::npos &&
+      ok = entry.file.find('/') == std::string::npos &&
            entry.file.find("..") == std::string::npos;
     }
     if (ok) m.shards.push_back(std::move(entry));
@@ -580,15 +460,15 @@ EpochManifest CheckpointStore::loadManifestLocal(std::uint64_t epoch) const {
 ShardRecord CheckpointStore::loadShard(
     std::uint64_t epoch, const EpochManifest::ShardEntry& entry) const {
   const std::string path = epochPath(epoch) + "/" + entry.file;
-  const std::string contents = readFileOrThrow(path);
+  const std::string contents = readWholeFile(path);
   if (entry.bytes != contents.size())
     throw IoError("shard size mismatch (manifest says " +
                   std::to_string(entry.bytes) + ", file has " +
                   std::to_string(contents.size()) + "): " + path);
-  const std::string body = verifiedBody(contents, path);
-  if (crc32(body.data(), body.size()) != entry.crc)
+  const Unsealed sealed = unseal(contents, path);
+  if (sealed.crc != entry.crc)
     throw IoError("shard CRC disagrees with the manifest: " + path);
-  std::istringstream in(body);
+  std::istringstream in(sealed.body);
   std::string magic;
   int version = 0;
   if (!(in >> magic >> version) || magic != "tensorkmc-shard")
@@ -649,7 +529,7 @@ ShardRecord CheckpointStore::loadShard(
           std::min(pageSites, shard.siteCount() - begin);
       if (sites != expectSites)
         throw IoError("delta shard page size disagrees with its box: " + path);
-      page.species = readPackedHex(in, sites, path);
+      page.species = decodePackedHex(in, sites, path);
       prevIndex = page.index;
       shard.dirtyPages.push_back(std::move(page));
     }
@@ -660,7 +540,7 @@ ShardRecord CheckpointStore::loadShard(
     if (!ok) throw IoError("malformed shard: " + path);
     if (sites != shard.siteCount())
       throw IoError("shard occupation count disagrees with its box: " + path);
-    shard.species = readPackedHex(in, sites, path);
+    shard.species = decodePackedHex(in, sites, path);
   }
   return shard;
 }

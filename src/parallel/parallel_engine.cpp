@@ -71,11 +71,7 @@ ParallelEngine::ParallelEngine(const LatticeState& initial, EnergyModel& model,
   buildFabric(initial);
   Rng master(config_.seed);
   for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
-  if (!config_.checkpointDir.empty()) {
-    store_ = std::make_unique<CheckpointStore>(config_.checkpointDir);
-    store_->setMaxDeltaChain(config_.maxDeltaChain);
-    setupRemote();
-    store_->gcStaleArtifacts();
+  if (openStore()) {
     // Epoch 0: the pre-run restart point. Construction is a local
     // sequential operation with nothing in flight, so no vote barrier.
     // The delta baseline starts invalid, so epoch 0 is always full.
@@ -102,42 +98,10 @@ ParallelEngine::ParallelEngine(EnergyModel& model, const Cet& cet,
   config_.seed = manifest.seed;
   // resolveShards materializes a delta epoch by replaying its base
   // chain; for a full epoch it degenerates to loadShards.
-  const std::vector<ShardRecord> shards = store.resolveShards(epoch);
-  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
-  lattice_ = restored.lattice();
-  buildFabric(restored);
-  if (config_.rankGrid == manifest.rankGrid) {
-    // Same-grid resume: the shards carry each rank's exact RNG stream
-    // state and vacancy list order, so the original trajectory continues
-    // bit-exactly.
-    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
-    for (const ShardRecord& shard : shards) {
-      require(shard.rank >= 0 && shard.rank < rankCount(),
-              "shard rank outside the manifest grid");
-      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
-      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
-          shard.vacancyOrder;
-    }
-  } else {
-    // Different (shrunken) grid: streams are reseeded by the same pure
-    // function the in-engine shrink recovery uses, so both reach the
-    // same post-recovery trajectory.
-    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
-    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
-  }
-  expectedVacancies_ = vacancyCount();
-  time_ = manifest.time;
-  cycles_ = manifest.cycles;
-  events_ = manifest.events;
-  discarded_ = manifest.discarded;
-  if (!config_.checkpointDir.empty()) {
-    store_ = std::make_unique<CheckpointStore>(config_.checkpointDir);
-    store_->setMaxDeltaChain(config_.maxDeltaChain);
-    setupRemote();
-    store_->gcStaleArtifacts();
-    // A resumed engine has no baseline: its first epoch is full, which
-    // also caps any pre-resume delta chain.
-  }
+  adoptEpoch(manifest, store.resolveShards(epoch));
+  // A resumed engine has no baseline: its first epoch is full, which
+  // also caps any pre-resume delta chain.
+  openStore();
 }
 
 ParallelEngine::~ParallelEngine() {
@@ -147,15 +111,54 @@ ParallelEngine::~ParallelEngine() {
   if (streamer_) streamer_->drain();
 }
 
-void ParallelEngine::setupRemote() {
-  if (config_.remoteDir.empty()) return;
-  remote_ = std::make_shared<DirRemoteStore>(config_.remoteDir);
-  store_->attachRemote(remote_);
-  ShardStreamer::Config sc;
-  sc.rateMbps = config_.remoteRateMbps;
-  sc.retry.maxAttempts = std::max(1, config_.remoteRetries);
-  sc.jitterSeed = config_.seed;
-  streamer_ = std::make_unique<ShardStreamer>(store_->dir(), remote_, sc);
+bool ParallelEngine::openStore() {
+  if (config_.checkpointDir.empty()) return false;
+  store_ = std::make_unique<CheckpointStore>(config_.checkpointDir);
+  store_->setMaxDeltaChain(config_.maxDeltaChain);
+  if (!config_.remoteDir.empty()) {
+    remote_ = std::make_shared<DirRemoteStore>(config_.remoteDir);
+    store_->attachRemote(remote_);
+    ShardStreamer::Config sc;
+    sc.rateMbps = config_.remoteRateMbps;
+    sc.retry.maxAttempts = std::max(1, config_.remoteRetries);
+    sc.jitterSeed = config_.seed;
+    streamer_ = std::make_unique<ShardStreamer>(store_->dir(), remote_, sc);
+  }
+  store_->gcStaleArtifacts();
+  return true;
+}
+
+void ParallelEngine::adoptEpoch(const EpochManifest& manifest,
+                                const std::vector<ShardRecord>& shards) {
+  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
+  lattice_ = restored.lattice();
+  rngs_.clear();
+  buildFabric(restored);
+  if (config_.rankGrid == manifest.rankGrid) {
+    // The epoch's own grid: the shards carry each rank's exact RNG
+    // stream state and vacancy order, so the original trajectory
+    // continues bit-exactly.
+    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
+    for (const ShardRecord& shard : shards) {
+      require(shard.rank >= 0 && shard.rank < rankCount(),
+              "shard rank outside the manifest grid");
+      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
+      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
+          shard.vacancyOrder;
+    }
+  } else {
+    // A different grid: the streams are reseeded by a pure function of
+    // (seed, epoch, grid), so an in-engine recovery and a fresh resume
+    // onto the same grid reach the same trajectory.
+    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
+    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
+  }
+  time_ = manifest.time;
+  cycles_ = manifest.cycles;
+  events_ = manifest.events;
+  discarded_ = manifest.discarded;
+  // The adopted world diffs against nothing: its next epoch is full.
+  baseline_ = DeltaBaseline{};
 }
 
 void ParallelEngine::afterCommit(std::uint64_t epoch) {
@@ -929,9 +932,7 @@ void ParallelEngine::recoverFromRankFailure(const RankFailure& failure) {
                       std::string(failure.what()) +
                           " (no complete checkpoint epoch to recover from)");
   }
-  const EpochManifest manifest = std::move(resolved.manifest);
-  const std::vector<ShardRecord> shards = std::move(resolved.shards);
-  const LatticeState restored = CheckpointStore::reassemble(manifest, shards);
+  const EpochManifest& manifest = resolved.manifest;
   const std::uint64_t rolledBack = cycles_ - manifest.cycles;
   recovery_.epochsRolledBack += rolledBack;
   lastRecoveryEpoch_ = manifest.epoch;
@@ -945,32 +946,11 @@ void ParallelEngine::recoverFromRankFailure(const RankFailure& failure) {
              survivors);
   sparePool_ -= admitted;
   if (admitted > 0) ++recovery_.growRecoveries;
-  rngs_.clear();
-  buildFabric(restored);
-  if (config_.rankGrid == manifest.rankGrid) {
-    // The epoch's own grid (grow recovery, or a failure detected after
-    // an earlier recovery already reshaped the world to this epoch's
-    // grid): the shards carry each rank's exact RNG stream state and
-    // vacancy order, so the continuation is bit-identical to a fresh
-    // same-grid resume — and, at cadence 1, to the uninterrupted run.
-    rngs_.assign(static_cast<std::size_t>(rankCount()), Rng(0));
-    for (const ShardRecord& shard : shards) {
-      require(shard.rank >= 0 && shard.rank < rankCount(),
-              "shard rank outside the manifest grid");
-      rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
-      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
-          shard.vacancyOrder;
-    }
-  } else {
-    Rng master(recoverySeed(manifest.seed, manifest.epoch, config_.rankGrid));
-    for (int r = 0; r < rankCount(); ++r) rngs_.push_back(master.split());
-  }
-  time_ = manifest.time;
-  cycles_ = manifest.cycles;
-  events_ = manifest.events;
-  discarded_ = manifest.discarded;
-  // The recovered world diffs against nothing: its next epoch is full.
-  baseline_ = DeltaBaseline{};
+  // On the epoch's own grid (grow recovery, or a failure detected after
+  // an earlier recovery already reshaped the world to this grid) the
+  // continuation is bit-identical to a fresh same-grid resume — and, at
+  // cadence 1, to the uninterrupted run.
+  adoptEpoch(manifest, resolved.shards);
   takeSnapshot();
   tm::flightRecorder().record(0, tm::BlackboxEventType::kRecovery,
                               admitted > 0 ? 1 : 0, manifest.epoch,

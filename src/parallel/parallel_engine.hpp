@@ -298,9 +298,18 @@ class ParallelEngine {
   /// atomically publishes epoch `cycles_`. `barrier` is false only for
   /// the construction-time epoch (single-threaded, nothing in flight).
   void writeEpoch(bool barrier);
-  /// Arms the remote store + streamer when both checkpointDir and
-  /// remoteDir are configured; called from both constructors.
-  void setupRemote();
+  /// Opens the checkpoint store when checkpointDir is set — with the
+  /// remote mirror and its streamer when remoteDir is set too — and runs
+  /// the startup GC. Returns false when checkpointing is off. Called from
+  /// both constructors.
+  bool openStore();
+  /// The one epoch-restore step, shared by the resume constructor and
+  /// rank-failure recovery: reassembles the epoch's lattice, rebuilds
+  /// the fabric on config_.rankGrid, restores the shard RNG streams and
+  /// vacancy orders (same grid) or reseeds via recoverySeed() (any other
+  /// grid), sets the clocks, and drops the delta baseline.
+  void adoptEpoch(const EpochManifest& manifest,
+                  const std::vector<ShardRecord>& shards);
   /// Post-commit hook: queues the epoch for streaming, publishes the
   /// remote-lag gauge, and throttles (bounded) past the lag cap.
   void afterCommit(std::uint64_t epoch);

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "common/sealed_file.hpp"
 #include "common/telemetry/telemetry.hpp"
 
 namespace tkmc {
@@ -17,31 +16,6 @@ namespace tkmc {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string readFileOrThrow(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw IoError("remote store: cannot open " + path);
-  std::ostringstream body;
-  body << in.rdbuf();
-  if (!in.good() && !in.eof())
-    throw IoError("remote store: read failed for " + path);
-  return body.str();
-}
-
-std::string crcHex(std::uint32_t crc) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", crc);
-  return buf;
-}
-
-// The same footer convention as shards/manifests: "\ncrc32 <hex>\n"
-// sealing everything before it (including that newline).
-std::string sealWithCrc(std::string body) {
-  body.push_back('\n');
-  const std::uint32_t crc = crc32(body.data(), body.size());
-  body += "crc32 " + crcHex(crc) + "\n";
-  return body;
-}
 
 void countRemote(const char* name, std::uint64_t n = 1) {
   if (telemetry::enabled()) telemetry::metrics().counter(name).add(n);
@@ -63,8 +37,8 @@ void DirRemoteStore::put(const std::string& epochDir, const std::string& file,
   if (faultFires("remote.put_fail"))
     throw IoError("remote store: injected put failure for " + epochDir + "/" +
                   file);
-  std::string body = contents;
-  if (faultFires("remote.torn_copy")) body.resize(body.size() / 2);
+  std::string_view body = contents;
+  if (faultFires("remote.torn_copy")) body = body.substr(0, body.size() / 2);
 
   const fs::path dir = fs::path(root_) / epochDir;
   std::error_code ec;
@@ -72,26 +46,10 @@ void DirRemoteStore::put(const std::string& epochDir, const std::string& file,
   if (ec)
     throw IoError("remote store: cannot create " + dir.string() + ": " +
                   ec.message());
-  // Own temp+rename (no .bak rotation): re-streaming an epoch after a
-  // rollback/replay overwrites the object in place, keeping the remote
-  // tree a verbatim mirror of the local epoch directory.
-  const fs::path target = dir / file;
-  const fs::path tmp = dir / (file + ".tmp");
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw IoError("remote store: cannot write " + tmp.string());
-    out.write(body.data(), static_cast<std::streamsize>(body.size()));
-    out.flush();
-    if (!out.good()) {
-      fs::remove(tmp, ec);
-      throw IoError("remote store: write failed for " + tmp.string());
-    }
-  }
-  fs::rename(tmp, target, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    throw IoError("remote store: rename failed for " + target.string());
-  }
+  // Re-streaming an epoch after a rollback/replay overwrites the object
+  // in place, keeping the remote tree a verbatim mirror of the local
+  // epoch directory.
+  publishAtomic((dir / file).string(), body);
 }
 
 std::string DirRemoteStore::get(const std::string& epochDir,
@@ -99,7 +57,7 @@ std::string DirRemoteStore::get(const std::string& epochDir,
   if (faultFires("remote.get_fail"))
     throw IoError("remote store: injected get failure for " + epochDir + "/" +
                   file);
-  return readFileOrThrow((fs::path(root_) / epochDir / file).string());
+  return readWholeFile((fs::path(root_) / epochDir / file).string());
 }
 
 std::vector<std::string> DirRemoteStore::listEpochs() const {
@@ -134,48 +92,35 @@ std::optional<RemoteShardStore::Stat> DirRemoteStore::stat(
 }
 
 std::string encodePlacement(const PlacementMap& map) {
-  std::ostringstream body;
-  body << "tensorkmc-placement 3\n";
-  body << "epoch " << map.epoch << "\n";
-  body << "files " << map.rows.size() << "\n";
+  std::ostringstream out;
+  out << "tensorkmc-placement 3\n";
+  out << "epoch " << map.epoch << "\n";
+  out << "files " << map.rows.size() << "\n";
   for (const PlacementMap::Row& row : map.rows)
-    body << row.file << " " << crcHex(row.crc) << " " << row.bytes << " "
-         << row.location << "\n";
-  std::string sealed = body.str();
-  // sealWithCrc appends its own trailing newline before the footer.
-  sealed.pop_back();
-  return sealWithCrc(std::move(sealed));
+    out << row.file << " " << crcHex(row.crc) << " " << row.bytes << " "
+        << row.location << "\n";
+  std::string body = out.str();
+  sealWithCrc(body);
+  return body;
 }
 
 PlacementMap parsePlacement(const std::string& contents,
                             const std::string& what) {
-  const std::string::size_type footer = contents.rfind("\ncrc32 ");
-  if (footer == std::string::npos)
-    throw IoError("placement map " + what + ": missing crc32 footer");
-  const std::string::size_type bodyLen = footer + 1;  // include the newline
-  const std::uint32_t actual = crc32(contents.data(), bodyLen);
-  const std::string recorded =
-      contents.substr(footer + 7, contents.find('\n', footer + 7) - footer - 7);
-  if (recorded != crcHex(actual))
-    throw IoError("placement map " + what + ": crc mismatch (stored " +
-                  recorded + ", computed " + crcHex(actual) + ")");
-
-  std::istringstream in(contents.substr(0, bodyLen));
+  const std::string source = "placement map " + what;
+  std::istringstream in(unseal(contents, source).body);
   std::string magic;
   int version = 0;
   in >> magic >> version;
   if (magic != "tensorkmc-placement" || version != 3)
-    throw IoError("placement map " + what + ": bad header '" + magic + " " +
+    throw IoError(source + ": bad header '" + magic + " " +
                   std::to_string(version) + "'");
   std::string keyword;
   PlacementMap map;
   std::size_t files = 0;
   in >> keyword >> map.epoch;
-  if (keyword != "epoch")
-    throw IoError("placement map " + what + ": expected 'epoch'");
+  if (keyword != "epoch") throw IoError(source + ": expected 'epoch'");
   in >> keyword >> files;
-  if (keyword != "files")
-    throw IoError("placement map " + what + ": expected 'files'");
+  if (keyword != "files") throw IoError(source + ": expected 'files'");
   for (std::size_t i = 0; i < files; ++i) {
     PlacementMap::Row row;
     std::string crcField;
@@ -183,9 +128,8 @@ PlacementMap parsePlacement(const std::string& contents,
     if (!in || row.file.empty() ||
         row.file.find('/') != std::string::npos ||
         row.file.find("..") != std::string::npos)
-      throw IoError("placement map " + what + ": bad row " +
-                    std::to_string(i));
-    row.crc = static_cast<std::uint32_t>(std::stoul(crcField, nullptr, 16));
+      throw IoError(source + ": bad row " + std::to_string(i));
+    row.crc = parseCrcField(crcField, source);
     map.rows.push_back(std::move(row));
   }
   return map;
@@ -345,7 +289,7 @@ bool ShardStreamer::streamEpoch(std::uint64_t epoch) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     std::string contents;
     try {
-      contents = readFileOrThrow((local / order[i]).string());
+      contents = readWholeFile((local / order[i]).string());
     } catch (const IoError&) {
       return true;  // epoch vanished mid-copy (GC); drop it quietly
     }

@@ -19,10 +19,16 @@ std::string tempPath(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// Checked-in checkpoint written by an older build (tests/data).
+std::string fixturePath(const char* name) {
+  return std::string(TKMC_TEST_DATA_DIR) + "/" + name;
+}
+
 struct World {
-  explicit World(std::uint64_t seed)
+  explicit World(std::uint64_t seed, int cellsX = 12, int cellsY = 12,
+                 int cellsZ = 12)
       : cet(2.87, kCutoff), net(cet), eam(kCutoff),
-        lattice(12, 12, 12, 2.87), state(lattice) {
+        lattice(cellsX, cellsY, cellsZ, 2.87), state(lattice) {
     Rng rng(seed);
     state.randomAlloy(0.12, 3, rng);
   }
@@ -156,32 +162,29 @@ TEST(Checkpoint, WritesV3PackedWithCrcFooterAndNoTempResidue) {
 
 TEST(Checkpoint, V3PackedBodyIsHalfTheDenseBody) {
   // The packed occupation (4 sites/byte, hex-encoded: 2 chars per byte)
-  // must come in at half the one-digit-per-site v2 body.
+  // must come in at half the one-digit-per-site body of a v2 file of the
+  // same 12^3 box and vacancy count.
   World w(14);
   EamEnergyModel model(w.cet, w.net, w.eam);
   SerialEngine engine(w.state, model, w.cet, config(29));
   const std::string v3 = tempPath("tkmc_checkpoint_size_v3.chk");
-  const std::string v2 = tempPath("tkmc_checkpoint_size_v2.chk");
   cleanupReplicas(v3);
-  cleanupReplicas(v2);
   saveCheckpoint(v3, w.state, engine);
-  saveCheckpointV2(v2, w.state, engine);
   EXPECT_LT(std::filesystem::file_size(v3),
-            std::filesystem::file_size(v2) * 6 / 10);
+            std::filesystem::file_size(fixturePath("checkpoint_v2.chk")) * 6 /
+                10);
   cleanupReplicas(v3);
-  cleanupReplicas(v2);
 }
 
 TEST(Checkpoint, V2FilesStillLoadBitExactThroughFallbackPath) {
-  // Files produced by the retained v2 writer (dense digit body + CRC
-  // footer) must load bit-exactly through loadCheckpointWithFallback.
+  // A v2 file (dense digit body + CRC footer) written by an older build
+  // from this world after 11 steps must load bit-exactly through
+  // loadCheckpointWithFallback.
   World w(15);
   EamEnergyModel model(w.cet, w.net, w.eam);
   SerialEngine engine(w.state, model, w.cet, config(33));
   for (int i = 0; i < 11; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_v2compat.chk");
-  cleanupReplicas(path);
-  saveCheckpointV2(path, w.state, engine);
+  const std::string path = fixturePath("checkpoint_v2.chk");
   const std::string contents = readFile(path);
   EXPECT_EQ(contents.rfind("tensorkmc-checkpoint 2\n", 0), 0u);
   EXPECT_NE(contents.rfind("\ncrc32 "), std::string::npos);
@@ -192,6 +195,20 @@ TEST(Checkpoint, V2FilesStillLoadBitExactThroughFallbackPath) {
   EXPECT_TRUE(restored == w.state);
   EXPECT_EQ(restored.contentHash(), w.state.contentHash());
   EXPECT_EQ(restored.vacancies(), w.state.vacancies());
+}
+
+TEST(Checkpoint, PackedBodyWhoseLastByteIsPartialAndEndsALineRoundTrips) {
+  // 9 x 9 x 79 cells = 12,798 sites: 3,200 packed bytes, the last one
+  // partial, filling exactly 80 lines. The final line still needs its
+  // newline, or the footer would run onto the hex digits.
+  World w(18, 9, 9, 79);
+  EamEnergyModel model(w.cet, w.net, w.eam);
+  SerialEngine engine(w.state, model, w.cet, config(39));
+  const std::string path = tempPath("tkmc_checkpoint_partial_line.chk");
+  cleanupReplicas(path);
+  saveCheckpoint(path, w.state, engine);
+  const CheckpointData data = loadCheckpoint(path);
+  EXPECT_TRUE(data.restoreState() == w.state);
   cleanupReplicas(path);
 }
 
@@ -315,13 +332,13 @@ TEST(Checkpoint, InjectedCorruptWriteIsCaughtAndBackupServes) {
 }
 
 TEST(Checkpoint, V1FilesStillLoadReadOnly) {
+  // A v1 file (dense digit body, no footer) written by an older build
+  // from this world after 3 steps.
   World w(13);
   EamEnergyModel model(w.cet, w.net, w.eam);
   SerialEngine engine(w.state, model, w.cet, config(27));
   for (int i = 0; i < 3; ++i) engine.step();
-  const std::string path = tempPath("tkmc_checkpoint_v1.chk");
-  cleanupReplicas(path);
-  saveCheckpointV1(path, w.state, engine);
+  const std::string path = fixturePath("checkpoint_v1.chk");
   const std::string contents = readFile(path);
   EXPECT_EQ(contents.rfind("tensorkmc-checkpoint 1\n", 0), 0u);
   EXPECT_EQ(contents.rfind("\ncrc32 "), std::string::npos);
@@ -334,7 +351,6 @@ TEST(Checkpoint, V1FilesStillLoadReadOnly) {
   EXPECT_TRUE(viaFallback.data.restoreState() == w.state);
   EXPECT_EQ(viaFallback.data.restoreState().contentHash(),
             w.state.contentHash());
-  cleanupReplicas(path);
 }
 
 TEST(Checkpoint, CorruptFileThrows) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
@@ -61,6 +63,27 @@ void flipByteInFile(const std::string& path) {
   contents[contents.size() / 2] ^= 0x01;
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void spit(const std::string& path, const std::string& contents) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+}
+
+/// Recomputes the `crc32` footer of an edited sealed file, so the parser
+/// runs past the integrity check and meets the edit itself.
+std::string reseal(std::string contents) {
+  contents.resize(contents.rfind("\ncrc32 ") + 1);
+  char footer[32];
+  std::snprintf(footer, sizeof(footer), "crc32 %08x\n",
+                crc32(contents.data(), contents.size()));
+  return contents + footer;
 }
 
 // --- Hand-built one-rank chains (store-level semantics) ----------------
@@ -231,6 +254,43 @@ TEST(DeltaStore, StartupGCRemovesTmpDirsAndTornEpochs) {
   EXPECT_FALSE(std::filesystem::exists(store.stagePath(1)));
   EXPECT_EQ(store.epochs(), (std::vector<std::uint64_t>{0}));
   EXPECT_EQ(store.gcStaleArtifacts(), 0);  // idempotent
+}
+
+TEST(DeltaStore, CrcFieldsMustBeExactlyEightHexDigits) {
+  // Every CRC field of a manifest — the base link, each shard row, and
+  // the footer — takes exactly eight hex digits. A longer field used to
+  // be read as its first eight digits and accepted.
+  CheckpointStore store(tempDir("tkmc_delta_crc_fields"));
+  const std::uint32_t crc0 = commitTinyFull(store, 0, {0, 1});
+  commitTinyDelta(store, 1, 0, crc0, {1, 1});
+  const std::string path = store.epochPath(1) + "/manifest.tkm";
+  const std::string intact = slurp(path);
+  const EpochManifest m = store.loadManifest(1);
+  char baseCrc[16], rowCrc[16], selfCrc[16];
+  std::snprintf(baseCrc, sizeof(baseCrc), "%08x", m.baseCrc);
+  std::snprintf(rowCrc, sizeof(rowCrc), "%08x", m.shards[0].crc);
+  std::snprintf(selfCrc, sizeof(selfCrc), "%08x", m.selfCrc);
+
+  const auto edited = [&](const std::string& from, const std::string& to) {
+    std::string contents = intact;
+    const std::size_t at = contents.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return contents.replace(at, from.size(), to);
+  };
+  const std::string base = std::string("base 0 ") + baseCrc + "\n";
+  const std::string row = std::string("rank_0.tkc ") + rowCrc + " ";
+  for (const std::string& contents :
+       {reseal(edited(base, std::string("base 0 ") + baseCrc + "0\n")),
+        reseal(edited(base, "base 0 -1\n")),
+        reseal(edited(row, std::string("rank_0.tkc 0") + rowCrc + " ")),
+        reseal(edited(row, "rank_0.tkc zz ")),
+        edited(std::string("crc32 ") + selfCrc + "\n",
+               std::string("crc32 ") + selfCrc + "0\n")}) {
+    spit(path, contents);
+    EXPECT_THROW((void)store.loadManifest(1), IoError) << contents;
+  }
+  spit(path, intact);
+  EXPECT_EQ(store.loadManifest(1).selfCrc, m.selfCrc);
 }
 
 // --- Engine-written delta epochs ---------------------------------------

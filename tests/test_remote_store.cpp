@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -169,6 +170,31 @@ TEST(Placement, TornOrTamperedMapsAreRejected) {
   evil.epoch = 3;
   evil.rows.push_back({"nested/escape", 1, 10, "loc"});
   EXPECT_THROW((void)parsePlacement(encodePlacement(evil), "escape"), IoError);
+}
+
+TEST(Placement, CrcFieldsMustBeExactlyEightHexDigits) {
+  // A row CRC that is not exactly eight hex digits is a typed IoError,
+  // even when the map is re-sealed so its footer passes: `zz` used to
+  // escape as std::invalid_argument, and `1ffffffff` or `-1` used to
+  // parse as ffffffff.
+  PlacementMap map;
+  map.epoch = 4;
+  map.rows.push_back({"rank_0.tkc", 0xffffffff, 10, "loc"});
+  const std::string encoded = encodePlacement(map);
+  const std::string row = "rank_0.tkc ffffffff ";
+  const std::size_t at = encoded.find(row);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* field : {"zz", "1ffffffff", "-1", "fffffff", "+fffffff"}) {
+    std::string body = encoded;
+    body.replace(at, row.size(), std::string("rank_0.tkc ") + field + " ");
+    body.resize(body.rfind("\ncrc32 ") + 1);
+    char footer[32];
+    std::snprintf(footer, sizeof(footer), "crc32 %08x\n",
+                  crc32(body.data(), body.size()));
+    EXPECT_THROW((void)parsePlacement(body + footer, field), IoError)
+        << field;
+  }
+  EXPECT_EQ(parsePlacement(encoded, "intact").rows[0].crc, 0xffffffffu);
 }
 
 // --- DirRemoteStore ----------------------------------------------------

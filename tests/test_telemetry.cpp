@@ -233,7 +233,7 @@ TEST(Tracer, FlowEventsExportAsMatchedArrowPairs) {
 }
 
 TEST(Telemetry, WriteAllTearLeavesThePreviousSnapshotIntact) {
-  // writeAll() goes through writeFileAtomic (temp + rename): a crash
+  // writeAll() goes through publishJson (temp + rename): a crash
   // mid-write — simulated by the telemetry.write_tear fault point —
   // must never tear a previously published metrics.json.
   resetAll();
