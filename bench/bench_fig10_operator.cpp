@@ -11,6 +11,15 @@
 // least as fast as the previous, big-fusion far ahead on memory traffic —
 // is the claim under test. Timings come from google-benchmark; a summary
 // table with measured speedups is printed afterwards.
+//
+// The host-timed "+ fusion" and "+ big-fusion" rungs run the float
+// detail::denseTile, which takes its AVX2 clone on a CPU that has AVX2,
+// while "+ SIMD" (kMatmulSimd) stays baseline SSE2 code. On such a host
+// the measured step from "+ SIMD" to "+ fusion" therefore includes an
+// ISA step (8 float lanes instead of 4) as well as the fusion. The
+// rungs' modeled traffic (ConvStack and big-fusion Traffic counters:
+// bytes, flops, modeled SW26010 time) does not depend on the host kernel
+// and does not move.
 
 #include <benchmark/benchmark.h>
 

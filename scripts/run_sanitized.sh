@@ -3,8 +3,8 @@
 # fault-tolerance test suite there (the failure paths exercised by fault
 # injection are exactly where memory bugs like to hide), the checkpoint
 # decoder sweep (forged input is where parsers overrun), plus the
-# register-blocked CPE kernel tests (blocked loops with ragged tails are
-# where out-of-bounds reads hide).
+# register-blocked kernel tests, CPE operators and network forward alike
+# (blocked loops with ragged tails are where out-of-bounds reads hide).
 #
 # The sanitizer set comes from TKMC_SANITIZE (semicolon-separated, the
 # same list CMake consumes) and defaults to ASan+UBSan. Each flavor gets
@@ -20,7 +20,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS=${TKMC_SANITIZE:-"address;undefined"}
 FLAVOR=$(echo "$SANITIZERS" | tr ';,' '--')
 BUILD_DIR=${BUILD_DIR:-build-sanitized/$FLAVOR}
-FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline"}
+FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|network|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline"}
 
 echo "==> sanitized build: TKMC_SANITIZE=$SANITIZERS ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S . \

@@ -83,9 +83,14 @@ std::vector<double> DirectEnergyModel::stateEnergies(const LatticeState& state,
     }
   }
 
+  // One scalar row-major forward per row (atomEnergy), not the blocked
+  // forwardBatch kernel that the fast backends run: the oracle shares no
+  // shortcut with what it checks.
   energyBuffer_.resize(static_cast<std::size_t>(numStates) * nRegion);
-  network_.forwardBatch(featureBuffer_.data(), numStates * nRegion,
-                        energyBuffer_.data());
+  for (std::size_t row = 0; row < energyBuffer_.size(); ++row)
+    energyBuffer_[row] = network_.atomEnergy(
+        {featureBuffer_.data() + row * static_cast<std::size_t>(d),
+         static_cast<std::size_t>(d)});
   std::vector<double> energies(static_cast<std::size_t>(numStates), 0.0);
   for (int s = 0; s < numStates; ++s) {
     const Vec3i vacancyAbs =

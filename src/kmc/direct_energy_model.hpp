@@ -19,7 +19,9 @@ namespace tkmc {
 /// trajectories must match the TET + vacancy-cache engine bit for bit.
 ///
 /// Deliberately shares no CET/NET/VET instances with the fast path; it
-/// derives its geometry from scratch in the constructor.
+/// derives its geometry from scratch in the constructor, and runs the
+/// network one row at a time through the scalar Network::atomEnergy(),
+/// not the blocked forwardBatch() kernel the fast backends use.
 class DirectEnergyModel : public EnergyModel {
  public:
   DirectEnergyModel(double latticeConstant, double cutoff,

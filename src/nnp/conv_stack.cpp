@@ -1,10 +1,9 @@
 #include "nnp/conv_stack.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
-#include "common/vec4.hpp"
+#include "nnp/dense_tile.hpp"
 
 namespace tkmc {
 namespace {
@@ -90,110 +89,20 @@ TKMC_VECTOR_KERNEL void reluPassSimd(float* __restrict__ y, std::size_t n) {
 
 // ---- traffic accounting ----
 
-void chargeMatmul(Traffic* t, int m, int in, int out) {
-  if (!t) return;
-  t->mainReadBytes += static_cast<std::uint64_t>(m) * in * sizeof(float);
-  t->mainReadBytes += static_cast<std::uint64_t>(in) * out * sizeof(float);
-  t->mainWriteBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
-  t->flops += 2ULL * m * in * out;
+void chargeMatmul(Traffic& t, int m, int in, int out) {
+  t.mainReadBytes += static_cast<std::uint64_t>(m) * in * sizeof(float);
+  t.mainReadBytes += static_cast<std::uint64_t>(in) * out * sizeof(float);
+  t.mainWriteBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
+  t.flops += 2ULL * m * in * out;
 }
 
-void chargeElementwisePass(Traffic* t, int m, int out) {
-  if (!t) return;
-  t->mainReadBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
-  t->mainWriteBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
-  t->flops += static_cast<std::uint64_t>(m) * out;
-}
-
-// ---- fused tile kernel ----
-
-// Rows per register block of a 16-wide output slab: 2 rows x 4 vectors
-// of accumulators, plus the four weight vectors and the broadcast input,
-// fit the 16 SSE registers without spilling.
-constexpr int kSlabRows = 2;
-
-// Register block of R rows x 16 outputs: each accumulator starts from
-// its bias and adds x[r][c] * w[c][o] with c ascending, then the block
-// is stored once. `x` points at row 0, column 0 of the block; `w`, `b`
-// and `y` are already offset to the block's first output.
-template <int R>
-TKMC_VECTOR_KERNEL inline void convBlock16(const float* x, int in,
-                                           const float* w, const float* b,
-                                           float* y, int out, bool relu) {
-  Vec4 acc[R][4];
-  for (int v = 0; v < 4; ++v) {
-    const Vec4 bv = load4(b + 4 * v);
-    for (int r = 0; r < R; ++r) acc[r][v] = bv;
-  }
-  for (int c = 0; c < in; ++c) {
-    const float* wRow = w + static_cast<std::size_t>(c) * out;
-    Vec4 wv[4];
-    for (int v = 0; v < 4; ++v) wv[v] = load4(wRow + 4 * v);
-    for (int r = 0; r < R; ++r) {
-      const float xs = x[static_cast<std::size_t>(r) * in + c];
-      const Vec4 xv = {xs, xs, xs, xs};
-      for (int v = 0; v < 4; ++v) acc[r][v] += xv * wv[v];
-    }
-  }
-  for (int r = 0; r < R; ++r)
-    for (int v = 0; v < 4; ++v) {
-      Vec4 a = acc[r][v];
-      if (relu) a = a < 0.0f ? Vec4{} : a;
-      store4(y + static_cast<std::size_t>(r) * out + 4 * v, a);
-    }
-}
-
-// Scalar tail: one output column over R interleaved rows, so the R add
-// chains are independent (the out == 1 layer would otherwise be a single
-// dependent chain per row).
-template <int R>
-TKMC_VECTOR_KERNEL inline void convColumn(const float* x, int in,
-                                          const float* w, float b, float* y,
-                                          int out, bool relu) {
-  float acc[R];
-  for (int r = 0; r < R; ++r) acc[r] = b;
-  for (int c = 0; c < in; ++c) {
-    const float wc = w[static_cast<std::size_t>(c) * out];
-    for (int r = 0; r < R; ++r)
-      acc[r] += x[static_cast<std::size_t>(r) * in + c] * wc;
-  }
-  for (int r = 0; r < R; ++r)
-    y[static_cast<std::size_t>(r) * out] =
-        relu && acc[r] < 0.0f ? 0.0f : acc[r];
+void chargeElementwisePass(Traffic& t, int m, int out) {
+  t.mainReadBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
+  t.mainWriteBytes += static_cast<std::uint64_t>(m) * out * sizeof(float);
+  t.flops += static_cast<std::uint64_t>(m) * out;
 }
 
 }  // namespace
-
-namespace detail {
-
-TKMC_VECTOR_KERNEL void fusedConvTile(const float* x,
-                                      const float* weightsChannelMajor,
-                                      const float* bias, float* y, int rows,
-                                      int in, int out, bool relu) {
-  auto xRow = [&](int r) { return x + static_cast<std::size_t>(r) * in; };
-  auto yAt = [&](int r, int o) {
-    return y + static_cast<std::size_t>(r) * out + o;
-  };
-  const float* w = weightsChannelMajor;
-  int o = 0;
-  for (; o + 16 <= out; o += 16) {
-    int r = 0;
-    for (; r + kSlabRows <= rows; r += kSlabRows)
-      convBlock16<kSlabRows>(xRow(r), in, w + o, bias + o, yAt(r, o), out,
-                             relu);
-    for (; r < rows; ++r)
-      convBlock16<1>(xRow(r), in, w + o, bias + o, yAt(r, o), out, relu);
-  }
-  for (; o < out; ++o) {
-    int r = 0;
-    for (; r + 8 <= rows; r += 8)
-      convColumn<8>(xRow(r), in, w + o, bias[o], yAt(r, o), out, relu);
-    for (; r < rows; ++r)
-      convColumn<1>(xRow(r), in, w + o, bias[o], yAt(r, o), out, relu);
-  }
-}
-
-}  // namespace detail
 
 ConvStack::ConvStack(Network::Snapshot snapshot)
     : snapshot_(std::move(snapshot)) {
@@ -214,12 +123,45 @@ ConvStack::ConvStack(Network::Snapshot snapshot)
 void ConvStack::forward(Mode mode, const float* input, int m, float* output,
                         Traffic* traffic) const {
   require(m > 0, "batch must be non-empty");
-  switch (mode) {
-    case Mode::kNaiveConv: forwardNaive(input, m, output, traffic); return;
-    case Mode::kMatmul: forwardMatmul(input, m, output, traffic); return;
-    case Mode::kMatmulSimd: forwardSimd(input, m, output, traffic); return;
-    case Mode::kFusedLayer: forwardFused(input, m, output, traffic); return;
+  // Every rung runs layer by layer, and its activations round-trip main
+  // memory between layers. The unfused rungs make separate bias and ReLU
+  // passes; the fused rung does both in registers.
+  const bool fused = mode == Mode::kFusedLayer;
+  const bool simd = mode == Mode::kMatmulSimd;
+  std::vector<float> bufA(input,
+                          input + static_cast<std::size_t>(m) * inputDim());
+  std::vector<float> bufB;
+  for (int li = 0; li < numLayers(); ++li) {
+    const std::size_t l = static_cast<std::size_t>(li);
+    const int in = snapshot_.channels[l];
+    const int out = snapshot_.channels[l + 1];
+    const bool lastLayer = li + 1 == numLayers();
+    const float* wConv = weightsChannelMajor_[l].data();
+    const float* b = snapshot_.biases[l].data();
+    bufB.resize(static_cast<std::size_t>(m) * out);
+    if (traffic) *traffic += layerTraffic(li, m, fused);
+    if (fused) {
+      detail::denseTile(bufA.data(), wConv, b, bufB.data(), m, in, out,
+                        !lastLayer);
+    } else {
+      for (int px = 0; px < m; ++px) {
+        const float* x = bufA.data() + static_cast<std::size_t>(px) * in;
+        float* y = bufB.data() + static_cast<std::size_t>(px) * out;
+        if (mode == Mode::kNaiveConv)
+          convPixelScalar(x, wConv, y, in, out);
+        else if (mode == Mode::kMatmul)
+          matmulPixelScalar(x, snapshot_.weights[l].data(), y, in, out);
+        else
+          matmulPixelSimd(x, wConv, y, in, out);
+      }
+      (simd ? biasPassSimd : biasPassScalar)(bufB.data(), b, m, out);
+      if (!lastLayer)
+        (simd ? reluPassSimd : reluPassScalar)(bufB.data(), bufB.size());
+    }
+    bufA.swap(bufB);
   }
+  std::memcpy(output, bufA.data(),
+              static_cast<std::size_t>(m) * outputDim() * sizeof(float));
 }
 
 Traffic ConvStack::layerTraffic(int layer, int m, bool fused) const {
@@ -227,127 +169,15 @@ Traffic ConvStack::layerTraffic(int layer, int m, bool fused) const {
   const int out = snapshot_.channels[static_cast<std::size_t>(layer) + 1];
   const bool lastLayer = layer + 1 == numLayers();
   Traffic t;
-  chargeMatmul(&t, m, in, out);
+  chargeMatmul(t, m, in, out);
   if (fused) {
     // Bias and ReLU happen in registers; only their FLOPs count.
     t.flops += static_cast<std::uint64_t>(m) * out * (lastLayer ? 1 : 2);
   } else {
-    chargeElementwisePass(&t, m, out);                  // bias pass
-    if (!lastLayer) chargeElementwisePass(&t, m, out);  // ReLU pass
+    chargeElementwisePass(t, m, out);                  // bias pass
+    if (!lastLayer) chargeElementwisePass(t, m, out);  // ReLU pass
   }
   return t;
-}
-
-void ConvStack::forwardNaive(const float* input, int m, float* output,
-                             Traffic* t) const {
-  std::vector<float> bufA(input, input + static_cast<std::size_t>(m) * inputDim());
-  std::vector<float> bufB;
-  for (int li = 0; li < numLayers(); ++li) {
-    const int in = snapshot_.channels[static_cast<std::size_t>(li)];
-    const int out = snapshot_.channels[static_cast<std::size_t>(li) + 1];
-    const bool lastLayer = li + 1 == numLayers();
-    const auto& wConv = weightsChannelMajor_[static_cast<std::size_t>(li)];
-    bufB.resize(static_cast<std::size_t>(m) * out);
-    for (int px = 0; px < m; ++px)
-      convPixelScalar(bufA.data() + static_cast<std::size_t>(px) * in,
-                      wConv.data(),
-                      bufB.data() + static_cast<std::size_t>(px) * out, in, out);
-    chargeMatmul(t, m, in, out);
-    biasPassScalar(bufB.data(),
-                   snapshot_.biases[static_cast<std::size_t>(li)].data(), m,
-                   out);
-    chargeElementwisePass(t, m, out);
-    if (!lastLayer) {
-      reluPassScalar(bufB.data(), bufB.size());
-      chargeElementwisePass(t, m, out);
-    }
-    bufA.swap(bufB);
-  }
-  std::memcpy(output, bufA.data(),
-              static_cast<std::size_t>(m) * outputDim() * sizeof(float));
-}
-
-void ConvStack::forwardMatmul(const float* input, int m, float* output,
-                              Traffic* t) const {
-  std::vector<float> bufA(input, input + static_cast<std::size_t>(m) * inputDim());
-  std::vector<float> bufB;
-  for (int li = 0; li < numLayers(); ++li) {
-    const int in = snapshot_.channels[static_cast<std::size_t>(li)];
-    const int out = snapshot_.channels[static_cast<std::size_t>(li) + 1];
-    const bool lastLayer = li + 1 == numLayers();
-    const auto& w = snapshot_.weights[static_cast<std::size_t>(li)];
-    bufB.resize(static_cast<std::size_t>(m) * out);
-    for (int px = 0; px < m; ++px)
-      matmulPixelScalar(bufA.data() + static_cast<std::size_t>(px) * in,
-                        w.data(),
-                        bufB.data() + static_cast<std::size_t>(px) * out, in,
-                        out);
-    chargeMatmul(t, m, in, out);
-    biasPassScalar(bufB.data(),
-                   snapshot_.biases[static_cast<std::size_t>(li)].data(), m,
-                   out);
-    chargeElementwisePass(t, m, out);
-    if (!lastLayer) {
-      reluPassScalar(bufB.data(), bufB.size());
-      chargeElementwisePass(t, m, out);
-    }
-    bufA.swap(bufB);
-  }
-  std::memcpy(output, bufA.data(),
-              static_cast<std::size_t>(m) * outputDim() * sizeof(float));
-}
-
-void ConvStack::forwardSimd(const float* input, int m, float* output,
-                            Traffic* t) const {
-  std::vector<float> bufA(input, input + static_cast<std::size_t>(m) * inputDim());
-  std::vector<float> bufB;
-  for (int li = 0; li < numLayers(); ++li) {
-    const int in = snapshot_.channels[static_cast<std::size_t>(li)];
-    const int out = snapshot_.channels[static_cast<std::size_t>(li) + 1];
-    const bool lastLayer = li + 1 == numLayers();
-    const auto& wConv = weightsChannelMajor_[static_cast<std::size_t>(li)];
-    bufB.resize(static_cast<std::size_t>(m) * out);
-    for (int px = 0; px < m; ++px)
-      matmulPixelSimd(bufA.data() + static_cast<std::size_t>(px) * in,
-                      wConv.data(),
-                      bufB.data() + static_cast<std::size_t>(px) * out, in, out);
-    chargeMatmul(t, m, in, out);
-    biasPassSimd(bufB.data(),
-                 snapshot_.biases[static_cast<std::size_t>(li)].data(), m, out);
-    chargeElementwisePass(t, m, out);
-    if (!lastLayer) {
-      reluPassSimd(bufB.data(), bufB.size());
-      chargeElementwisePass(t, m, out);
-    }
-    bufA.swap(bufB);
-  }
-  std::memcpy(output, bufA.data(),
-              static_cast<std::size_t>(m) * outputDim() * sizeof(float));
-}
-
-void ConvStack::forwardFused(const float* input, int m, float* output,
-                             Traffic* t) const {
-  // FusedConv2D: matmul + bias + ReLU in one pass; intermediate
-  // activations still round-trip main memory between layers.
-  std::vector<float> bufA(input, input + static_cast<std::size_t>(m) * inputDim());
-  std::vector<float> bufB;
-  for (int li = 0; li < numLayers(); ++li) {
-    const int in = snapshot_.channels[static_cast<std::size_t>(li)];
-    const int out = snapshot_.channels[static_cast<std::size_t>(li) + 1];
-    const bool lastLayer = li + 1 == numLayers();
-    const auto& wConv = weightsChannelMajor_[static_cast<std::size_t>(li)];
-    const auto& b = snapshot_.biases[static_cast<std::size_t>(li)];
-    bufB.resize(static_cast<std::size_t>(m) * out);
-    detail::fusedConvTile(bufA.data(), wConv.data(), b.data(), bufB.data(), m,
-                          in, out, !lastLayer);
-    if (t) {
-      chargeMatmul(t, m, in, out);
-      t->flops += static_cast<std::uint64_t>(m) * out * (lastLayer ? 1 : 2);
-    }
-    bufA.swap(bufB);
-  }
-  std::memcpy(output, bufA.data(),
-              static_cast<std::size_t>(m) * outputDim() * sizeof(float));
 }
 
 }  // namespace tkmc

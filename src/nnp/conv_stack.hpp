@@ -8,23 +8,6 @@
 
 namespace tkmc {
 
-namespace detail {
-
-/// Fused matmul + bias (+ ReLU) over a tile of `rows` pixels/atoms:
-/// x [rows][in] -> y [rows][out] with channel-major [in][out] weights.
-/// Register-blocked: outputs are computed in 16-wide column slabs over
-/// blocks of rows held in registers (leftover columns one at a time over
-/// 8 interleaved rows), and each output is stored once. Every output still starts from its bias and
-/// adds x[c] * w[c][o] with c ascending, so the result is bit-identical
-/// to the plain per-pixel loop. Shared by ConvStack::kFusedLayer and the
-/// big-fusion operator so the two are bit-identical by construction.
-/// `x` and `y` must not overlap.
-void fusedConvTile(const float* x, const float* weightsChannelMajor,
-                   const float* bias, float* y, int rows, int in, int out,
-                   bool relu);
-
-}  // namespace detail
-
 /// Single-precision evaluation of the NNP conv stack at the successive
 /// optimization rungs of Fig. 10.
 ///
@@ -42,7 +25,7 @@ void fusedConvTile(const float* x, const float* weightsChannelMajor,
 ///                 units); bias/ReLU still separate passes.
 ///   kFusedLayer — matmul + bias + ReLU fused into one pass per layer
 ///                 (the TensorFlow FusedConv2D / SWDNN analogue), run by
-///                 the register-blocked detail::fusedConvTile.
+///                 the register-blocked float detail::denseTile.
 ///
 /// The fifth rung, the big-fusion operator, keeps activations resident in
 /// CPE scratchpads across *all* layers and lives in
@@ -81,11 +64,6 @@ class ConvStack {
   }
 
  private:
-  void forwardNaive(const float* input, int m, float* output, Traffic* t) const;
-  void forwardMatmul(const float* input, int m, float* output, Traffic* t) const;
-  void forwardSimd(const float* input, int m, float* output, Traffic* t) const;
-  void forwardFused(const float* input, int m, float* output, Traffic* t) const;
-
   Network::Snapshot snapshot_;
   // Channel-major weight copies [in][out] for the naive-conv access
   // pattern and the SIMD kernels.

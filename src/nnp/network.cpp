@@ -4,30 +4,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nnp/dense_tile.hpp"
 
 namespace tkmc {
-namespace {
-
-// y = W x + b, ReLU unless the layer is the last, over channel-major
-// weights [in][out]. Every y[o] starts at its bias and accumulates
-// w * x with c ascending, the order forwardOne() uses, so the results
-// are bit-equal to it; the inner loop runs across outputs, so it
-// vectorizes without reassociating any sum.
-void denseChannelMajor(const double* __restrict__ x,
-                       const double* __restrict__ weights,
-                       const double* __restrict__ bias, double* __restrict__ y,
-                       int in, int out, bool relu) {
-  for (int o = 0; o < out; ++o) y[o] = bias[o];
-  for (int c = 0; c < in; ++c) {
-    const double xc = x[c];
-    const double* __restrict__ w = weights + static_cast<std::size_t>(c) * out;
-    for (int o = 0; o < out; ++o) y[o] += w[o] * xc;
-  }
-  if (relu)
-    for (int o = 0; o < out; ++o) y[o] = std::max(y[o], 0.0);
-}
-
-}  // namespace
 
 Network::Network(std::vector<int> channels) : channels_(std::move(channels)) {
   require(channels_.size() >= 2, "network needs at least one layer");
@@ -103,14 +82,15 @@ void Network::forwardBatch(const double* features, int nAtoms,
                            double* atomEnergies) const {
   // Per-thread scratch, allocated once per thread: channel-major copies
   // of every layer's weights, rebuilt on each call so an edit through
-  // layer() or the Trainer can never leave a stale copy (the transpose
-  // costs ~1% of a call), then two ping-pong activation rows.
+  // layer() or the Trainer can never leave a stale copy, then two
+  // ping-pong activation tiles of kTileRows rows.
+  constexpr int kTileRows = 64;
   thread_local std::vector<double> scratch;
   std::size_t weightCount = 0;
   for (const Layer& l : layers_) weightCount += l.weights.size();
-  const std::size_t width = static_cast<std::size_t>(maxWidth());
-  if (scratch.size() < weightCount + 2 * width)
-    scratch.resize(weightCount + 2 * width);
+  const std::size_t tileSize = static_cast<std::size_t>(kTileRows) * maxWidth();
+  if (scratch.size() < weightCount + 2 * tileSize)
+    scratch.resize(weightCount + 2 * tileSize);
 
   double* channelMajor = scratch.data();
   for (const Layer& l : layers_) {
@@ -121,22 +101,28 @@ void Network::forwardBatch(const double* features, int nAtoms,
     channelMajor += l.weights.size();
   }
 
-  double* cur = scratch.data() + weightCount;
-  double* nxt = cur + width;
-  for (int i = 0; i < nAtoms; ++i) {
-    const double* x = features + static_cast<std::size_t>(i) * inputDim();
-    for (int c = 0; c < inputDim(); ++c)
-      cur[c] = (x[c] - inputShift_[static_cast<std::size_t>(c)]) *
-               inputScale_[static_cast<std::size_t>(c)];
+  const int in = inputDim();
+  const int outLast = channels_.back();
+  for (int row0 = 0; row0 < nAtoms; row0 += kTileRows) {
+    const int rows = std::min(kTileRows, nAtoms - row0);
+    double* cur = scratch.data() + weightCount;
+    double* nxt = cur + tileSize;
+    const double* x = features + static_cast<std::size_t>(row0) * in;
+    for (int r = 0; r < rows; ++r)
+      for (std::size_t c = 0; c < inputShift_.size(); ++c) {
+        const std::size_t i = static_cast<std::size_t>(r) * in + c;
+        cur[i] = (x[i] - inputShift_[c]) * inputScale_[c];
+      }
     const double* w = scratch.data();
     for (std::size_t li = 0; li < layers_.size(); ++li) {
       const Layer& l = layers_[li];
-      denseChannelMajor(cur, w, l.bias.data(), nxt, l.in, l.out,
+      detail::denseTile(cur, w, l.bias.data(), nxt, rows, l.in, l.out,
                         li + 1 < layers_.size());
       w += l.weights.size();
       std::swap(cur, nxt);
     }
-    atomEnergies[i] = cur[0];
+    for (int r = 0; r < rows; ++r)
+      atomEnergies[row0 + r] = cur[static_cast<std::size_t>(r) * outLast];
   }
 }
 

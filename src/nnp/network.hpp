@@ -51,9 +51,9 @@ class Network {
 
   /// Batched forward: `features` is [nAtoms][inputDim] row-major;
   /// writes nAtoms atomic energies, each bit-equal to atomEnergy() on
-  /// its row. Vectorized across each layer's outputs over channel-major
-  /// weights transposed per call; scratch is thread-local, so concurrent
-  /// calls are safe and a thread allocates only on its first call.
+  /// its row. Runs tiles of rows through detail::denseTile over weights
+  /// transposed per call; scratch is thread-local, so concurrent calls
+  /// are safe and a thread allocates only on its first call.
   void forwardBatch(const double* features, int nAtoms,
                     double* atomEnergies) const;
 

@@ -5,7 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/telemetry/tracer.hpp"
-#include "nnp/conv_stack.hpp"
+#include "nnp/dense_tile.hpp"
 
 namespace tkmc {
 
@@ -104,9 +104,8 @@ void BigFusionOperator::forward(const float* input, int m, float* output) const 
         // Fused matmul + bias + ReLU over the whole tile, register-blocked;
         // the exact kernel ConvStack's fused mode uses, so results are
         // bit-identical.
-        detail::fusedConvTile(cur, img.weightsChannelMajor.data(),
-                              img.biases.data(), nxt, rows, in, out,
-                              !lastLayer);
+        detail::denseTile(cur, img.weightsChannelMajor.data(),
+                          img.biases.data(), nxt, rows, in, out, !lastLayer);
         cpe.traffic().flops +=
             2ULL * rows * in * out + static_cast<std::uint64_t>(rows) * out *
                                          (lastLayer ? 1 : 2);

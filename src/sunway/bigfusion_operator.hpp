@@ -19,7 +19,7 @@ namespace tkmc {
 /// along rows via RMA, so steady-state main-memory traffic is exactly one
 /// input read plus one output write.
 ///
-/// Each layer of a resident tile runs detail::fusedConvTile, the
+/// Each layer of a resident tile runs the float detail::denseTile, the
 /// register-blocked kernel ConvStack::Mode::kFusedLayer also uses, so the
 /// numerics match it bit-for-bit; the two rungs differ only in the
 /// main-memory round trips between layers. Register blocking happens

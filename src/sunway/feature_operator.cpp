@@ -7,7 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/telemetry/tracer.hpp"
-#include "common/vec4.hpp"
+#include "common/simd.hpp"
 #include "tabulation/cet.hpp"
 
 namespace tkmc {
@@ -24,10 +24,14 @@ std::size_t alignUp64(std::size_t bytes) { return (bytes + 63) & ~std::size_t{63
 void sumRows(const float* const* rows, int n, int width, float* dst) {
   int k = 0;
   for (; k + 32 <= width; k += 32) {
-    Vec4 acc[8] = {};
+    simd::Vec4f acc[8] = {};
     for (int i = 0; i < n; ++i)
-      for (int v = 0; v < 8; ++v) acc[v] += load4(rows[i] + k + 4 * v);
-    for (int v = 0; v < 8; ++v) store4(dst + k + 4 * v, acc[v]);
+      for (int v = 0; v < 8; ++v) {
+        simd::Vec4f row;
+        simd::load(row, rows[i] + k + 4 * v);
+        acc[v] += row;
+      }
+    for (int v = 0; v < 8; ++v) simd::store(dst + k + 4 * v, acc[v]);
   }
   for (; k < width; ++k) {
     float acc = 0.0f;

@@ -22,7 +22,7 @@ namespace tkmc {
 /// final state (235 of 531 rows per system at 4.0 A). RowPlan::reduce()
 /// takes a final state's unaffected sites from the initial state's float
 /// atomic energies and sums in site order. An unaffected row's features
-/// are bitwise the initial state's and detail::fusedConvTile is
+/// are bitwise the initial state's and detail::denseTile is
 /// row-independent, so every energy is bitwise what the full-row
 /// pipeline gives. The operator-level figure benches (Fig. 9-13) keep
 /// FeatureOperator's full row plan: their DMA, RMA and flop counts are

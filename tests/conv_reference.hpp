@@ -1,11 +1,11 @@
 #pragma once
 
-// Scalar oracle for the fused conv kernels, kept independent of
-// src/nnp/conv_stack.cpp so tests of ConvStack and BigFusionOperator
-// (which share one kernel) still compare against something else.
+// Scalar oracle for the dense tile kernels, kept independent of
+// src/nnp/dense_tile.cpp so tests of ConvStack, BigFusionOperator and
+// Network (which share one kernel) still compare against something else.
 //
 // Summation order is the contract: every output starts from its bias and
-// adds x[c] * w[c][o] with c ascending, in single precision. Float
+// adds x[c] * w[c][o] with c ascending, in the element precision. Float
 // reductions are not reassociated without -ffast-math, so this loop is
 // the exact reference for EXPECT_EQ comparisons.
 
@@ -17,16 +17,18 @@
 namespace tkmc::testref {
 
 /// One fused layer: x [rows][in] -> y [rows][out] with channel-major
-/// weights wcm [in][out], bias b [out], optional ReLU.
-inline void convLayer(const float* x, const float* wcm, const float* b,
-                      float* y, int rows, int in, int out, bool relu) {
+/// weights wcm [in][out], bias b [out], optional ReLU. T is float (the
+/// conv stack) or double (the Network forward).
+template <typename T>
+inline void convLayer(const T* x, const T* wcm, const T* b, T* y, int rows,
+                      int in, int out, bool relu) {
   for (int r = 0; r < rows; ++r)
     for (int o = 0; o < out; ++o) {
-      float acc = b[o];
+      T acc = b[o];
       for (int c = 0; c < in; ++c)
         acc += x[static_cast<std::size_t>(r) * in + c] *
                wcm[static_cast<std::size_t>(c) * out + o];
-      if (relu && acc < 0.0f) acc = 0.0f;
+      if (relu && acc < T(0)) acc = T(0);
       y[static_cast<std::size_t>(r) * out + o] = acc;
     }
 }

@@ -7,6 +7,8 @@
 #include <cstdint>
 
 #include "conv_reference.hpp"
+#include "dense_tile_sweep.hpp"
+#include "nnp/dense_tile.hpp"
 
 namespace tkmc {
 namespace {
@@ -162,62 +164,28 @@ TEST_P(ConvStackShapeSweep, FusedIsBitExactAgainstScalarReference) {
         << "index " << i;
 }
 
-// The register-blocked tile kernel against the scalar oracle over widths
-// that hit every path (16-wide slabs, scalar tail columns, 8-row
-// interleave, ragged row blocks), with ReLU on and off. Exact-size
-// input buffers let ASan catch over-reads; sentinel cells past the
-// output catch over-writes.
-TEST(FusedConvTile, BitExactAgainstScalarReferenceOverShapes) {
-  const int widths[] = {1, 3, 4, 5, 15, 16, 17, 32, 33, 64, 128};
-  const int rowCounts[] = {1, 2, 3, 7, 8, 9, 31, 32, 33, 531};
-  constexpr std::size_t kGuard = 17;
-  constexpr float kSentinel = 1234.5f;
-  Rng rng(41);
-  auto fill = [&rng](std::vector<float>& v, double scale) {
-    for (float& f : v) f = static_cast<float>((rng.uniform() * 2 - 1) * scale);
-  };
-  for (int in : widths)
-    for (int out : widths) {
-      std::vector<float> w(static_cast<std::size_t>(in) * out);
-      std::vector<float> b(static_cast<std::size_t>(out));
-      fill(w, 1.0);
-      fill(b, 0.5);
-      for (int rows : rowCounts) {
-        std::vector<float> x(static_cast<std::size_t>(rows) * in);
-        fill(x, 1.0);
-        const std::size_t n = static_cast<std::size_t>(rows) * out;
-        for (bool relu : {false, true}) {
-          SCOPED_TRACE(::testing::Message() << "in " << in << " out " << out
-                                            << " rows " << rows << " relu "
-                                            << relu);
-          std::vector<float> expected(n);
-          testref::convLayer(x.data(), w.data(), b.data(), expected.data(),
-                             rows, in, out, relu);
-          std::vector<float> actual(n + kGuard, kSentinel);
-          detail::fusedConvTile(x.data(), w.data(), b.data(), actual.data(),
-                                rows, in, out, relu);
-          for (std::size_t i = 0; i < n; ++i)
-            ASSERT_EQ(std::bit_cast<std::uint32_t>(actual[i]),
-                      std::bit_cast<std::uint32_t>(expected[i]))
-                << "index " << i;
-          for (std::size_t g = n; g < n + kGuard; ++g)
-            ASSERT_EQ(actual[g], kSentinel) << "guard cell " << g - n;
-        }
-      }
-    }
+// Both float instances of the register-blocked tile kernel against the
+// scalar oracle. The SSE2 one is the baseline path and runs everywhere.
+TEST(DenseTileFloat, Sse2BitExactAgainstScalarReference) {
+  testref::expectDenseTileMatchesReference<float>(detail::denseTileSse2);
 }
 
-TEST(FusedConvTile, ReluClampsNegativesOnly) {
+TEST(DenseTileFloat, Avx2BitExactAgainstScalarReference) {
+  if (!simd::hasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  testref::expectDenseTileMatchesReference<float>(detail::denseTileAvx2);
+}
+
+TEST(DenseTileFloat, ReluClampsNegativesOnly) {
   // One input channel of value 1 and weight 0: each output equals its
   // bias, so ReLU must zero exactly the negative biases.
   const float x[1] = {1.0f};
   const float w[5] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
   const float b[5] = {-2.0f, 0.0f, 3.0f, -0.5f, 1.5f};
   float y[5];
-  detail::fusedConvTile(x, w, b, y, 1, 1, 5, /*relu=*/true);
+  detail::denseTile(x, w, b, y, 1, 1, 5, /*relu=*/true);
   const float expected[5] = {0.0f, 0.0f, 3.0f, 0.0f, 1.5f};
   for (int o = 0; o < 5; ++o) EXPECT_EQ(y[o], expected[o]) << "output " << o;
-  detail::fusedConvTile(x, w, b, y, 1, 1, 5, /*relu=*/false);
+  detail::denseTile(x, w, b, y, 1, 1, 5, /*relu=*/false);
   for (int o = 0; o < 5; ++o) EXPECT_EQ(y[o], b[o]) << "output " << o;
 }
 

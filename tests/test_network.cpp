@@ -7,6 +7,9 @@
 #include <string>
 #include <vector>
 
+#include "dense_tile_sweep.hpp"
+#include "nnp/dense_tile.hpp"
+
 namespace tkmc {
 namespace {
 
@@ -211,7 +214,8 @@ void expectBatchMatchesRowMajor(const Network& n, const std::string& what) {
   std::vector<double> features(static_cast<std::size_t>(maxAtoms) *
                                n.inputDim());
   for (double& f : features) f = rng.uniform() * 6.0 - 1.0;
-  for (const int atoms : {0, 1, 2, 7, 8, 9, 531}) {
+  // Tiles are 64 rows: counts on both sides of each tile edge.
+  for (const int atoms : {0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 235, 531}) {
     // One spare slot past the batch must stay untouched.
     std::vector<double> batch(static_cast<std::size_t>(atoms) + 1, -7.25);
     n.forwardBatch(features.data(), atoms, batch.data());
@@ -253,6 +257,18 @@ TEST(Network, ForwardBatchIsBitEqualToRowMajorForward) {
     n.setInputTransform(shift, scale);
     expectBatchMatchesRowMajor(n, shape + ", input transform");
   }
+}
+
+// Both double instances of the register-blocked tile kernel that
+// forwardBatch runs, against the scalar oracle. The SSE2 one is the
+// baseline path and runs everywhere.
+TEST(DenseTileDouble, Sse2BitExactAgainstScalarReference) {
+  testref::expectDenseTileMatchesReference<double>(detail::denseTileSse2);
+}
+
+TEST(DenseTileDouble, Avx2BitExactAgainstScalarReference) {
+  if (!simd::hasAvx2()) GTEST_SKIP() << "this CPU has no AVX2";
+  testref::expectDenseTileMatchesReference<double>(detail::denseTileAvx2);
 }
 
 TEST(Network, HeInitIsDeterministicPerSeed) {

@@ -22,6 +22,7 @@
 
 #include "analysis/xyz_writer.hpp"
 #include "common/fault_injection.hpp"
+#include "common/simd.hpp"
 #include "common/stopwatch.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "core/input_deck.hpp"
@@ -401,6 +402,10 @@ int main(int argc, char** argv) {
                 config.potential == SimulationConfig::Potential::kNnp ? "NNP"
                                                                       : "EAM",
                 config.temperature);
+    // Which dense-kernel clone the CPU check picked, so a run's speed
+    // can be explained across hosts.
+    std::printf("kernels: %s dense tiles\n",
+                simd::hasAvx2() ? "avx2" : "sse2");
     if (config.eventCatalog.name != "vacancy_hop")
       std::printf("event catalog: %s (trap_fraction %.3g, trap_binding "
                   "%.3g eV, sink_planes %d)\n",
@@ -462,6 +467,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(row.hits));
     }
     if (!telemetryDir.empty()) {
+      telemetry::metrics().gauge("kernels.avx2").set(simd::hasAvx2() ? 1 : 0);
       telemetry::writeAll(telemetryDir);
       std::printf("telemetry: wrote %s/trace.json (%zu events, %llu dropped) "
                   "and %s/metrics.json\n",
