@@ -2,9 +2,11 @@
 # Builds the tree under a sanitizer configuration and runs the
 # fault-tolerance test suite there (the failure paths exercised by fault
 # injection are exactly where memory bugs like to hide), the checkpoint
-# decoder sweep (forged input is where parsers overrun), plus the
+# decoder sweep (forged input is where parsers overrun), the
 # register-blocked kernel tests, CPE operators and network forward alike
-# (blocked loops with ragged tails are where out-of-bounds reads hide).
+# (blocked loops with ragged tails are where out-of-bounds reads hide),
+# plus every TET energy backend and the EAM event catalog (the site
+# kernels write the hop-local row layout the reduction indexes).
 #
 # The sanitizer set comes from TKMC_SANITIZE (semicolon-separated, the
 # same list CMake consumes) and defaults to ASan+UBSan. Each flavor gets
@@ -20,7 +22,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS=${TKMC_SANITIZE:-"address;undefined"}
 FLAVOR=$(echo "$SANITIZERS" | tr ';,' '--')
 BUILD_DIR=${BUILD_DIR:-build-sanitized/$FLAVOR}
-FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|network|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline"}
+FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|network|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline|nnp_energy_model|bond_counting|eam|event_catalog|tet_energy_model"}
 
 echo "==> sanitized build: TKMC_SANITIZE=$SANITIZERS ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S . \

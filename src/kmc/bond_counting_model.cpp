@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "tabulation/vet.hpp"
 
 namespace tkmc {
 namespace {
@@ -16,7 +15,7 @@ int pairSlot(Species a, Species b) {
 
 BondCountingModel::BondCountingModel(const Cet& cet, const Net& net,
                                      Parameters params)
-    : cet_(cet), net_(net), params_(params) {
+    : TetEnergyModel(cet, net), net_(net), params_(params) {
   // Identify the 1NN and 2NN shells among the NET's discrete distances.
   const double a = cet.latticeConstant();
   const double d1 = a * std::sqrt(3.0) / 2.0;
@@ -38,37 +37,26 @@ double BondCountingModel::bondEnergy(int distIndex, Species a, Species b) const 
   return 0.0;  // bonds beyond 2NN carry no energy in this model
 }
 
-double BondCountingModel::regionEnergy(const Vet& vet, int state) const {
-  double total = 0.0;
-  for (int site = 0; site < cet_.nRegion(); ++site) {
-    const Species self = stateSpecies(vet, state, site);
-    if (self == Species::kVacancy) continue;
-    double bonds = 0.0;
-    for (const Net::Entry& e : net_.neighbors(site)) {
-      if (e.distIndex != firstShellIndex_ && e.distIndex != secondShellIndex_)
-        continue;
-      const Species nb = stateSpecies(vet, state, e.siteId);
-      if (nb == Species::kVacancy) continue;
-      bonds += bondEnergy(e.distIndex, self, nb);
-    }
-    total += 0.5 * bonds;
+void BondCountingModel::atomEnergies(std::span<Vet* const> vets, int numFinal,
+                                     double* out) {
+  for (const Vet* vet : vets)
+    for (int s = 0; s <= numFinal; ++s)
+      for (const int site : rows().sites(s)) *out++ = siteEnergy(*vet, s, site);
+}
+
+double BondCountingModel::siteEnergy(const Vet& vet, int state,
+                                     int site) const {
+  const Species self = stateSpecies(vet, state, site);
+  if (self == Species::kVacancy) return 0.0;  // masked by the reduction
+  double bonds = 0.0;
+  for (const Net::Entry& e : net_.neighbors(site)) {
+    if (e.distIndex != firstShellIndex_ && e.distIndex != secondShellIndex_)
+      continue;
+    const Species nb = stateSpecies(vet, state, e.siteId);
+    if (nb == Species::kVacancy) continue;
+    bonds += bondEnergy(e.distIndex, self, nb);
   }
-  return total;
-}
-
-std::vector<double> BondCountingModel::stateEnergies(const LatticeState& state,
-                                                     Vec3i center,
-                                                     int numFinal) {
-  Vet vet = Vet::gather(cet_, state, center);
-  return stateEnergiesFromVet(vet, numFinal);
-}
-
-std::vector<double> BondCountingModel::stateEnergiesFromVet(Vet& vet,
-                                                            int numFinal) {
-  std::vector<double> energies(1 + static_cast<std::size_t>(numFinal));
-  for (int s = 0; s <= numFinal; ++s)
-    energies[static_cast<std::size_t>(s)] = regionEnergy(vet, s);
-  return energies;
+  return 0.5 * bonds;
 }
 
 }  // namespace tkmc

@@ -2,11 +2,17 @@
 
 #include <array>
 
-#include "kmc/energy_model.hpp"
-#include "tabulation/cet.hpp"
-#include "tabulation/net.hpp"
+#include "kmc/tet_energy_model.hpp"
 
 namespace tkmc {
+
+/// Pair energies in eV/bond, indexed FeFe / FeCu / CuCu. Defaults give
+/// bcc Fe-Cu a positive mixing enthalpy (Cu demixes, as in the
+/// thermal-aging literature) with weaker second-shell bonds.
+struct BondCountingParameters {
+  std::array<double, 3> eps1{-0.60, -0.55, -0.58};
+  std::array<double, 3> eps2{-0.30, -0.275, -0.29};
+};
 
 /// Tabulated microkinetic ("bond-counting") energy backend — the paper's
 /// *first approach* to AKMC parameterization (Sec. 1): interaction
@@ -17,38 +23,24 @@ namespace tkmc {
 /// E_atom = 1/2 [ sum over 1NN bonds eps1(s_i, s_j)
 ///              + sum over 2NN bonds eps2(s_i, s_j) ].
 ///
-/// Runs on the same triple-encoding machinery as every other backend, so
-/// it slots into the serial and parallel engines unchanged.
-/// Pair energies in eV/bond, indexed FeFe / FeCu / CuCu. Defaults give
-/// bcc Fe-Cu a positive mixing enthalpy (Cu demixes, as in the
-/// thermal-aging literature) with weaker second-shell bonds.
-struct BondCountingParameters {
-  std::array<double, 3> eps1{-0.60, -0.55, -0.58};
-  std::array<double, 3> eps2{-0.30, -0.275, -0.29};
-};
-
-class BondCountingModel : public EnergyModel {
+/// A site kernel behind the TET driver like every other backend, so it
+/// slots into the serial and parallel engines unchanged.
+class BondCountingModel final : public TetEnergyModel {
  public:
   using Parameters = BondCountingParameters;
 
   BondCountingModel(const Cet& cet, const Net& net, Parameters params = {});
-
-  std::vector<double> stateEnergies(const LatticeState& state, Vec3i center,
-                                    int numFinal) override;
-
-  std::vector<double> stateEnergiesFromVet(Vet& vet, int numFinal) override;
-
-  bool supportsVet() const override { return true; }
 
   const char* name() const override { return "bond-counting"; }
 
   const Parameters& parameters() const { return params_; }
 
  private:
+  void atomEnergies(std::span<Vet* const> vets, int numFinal,
+                    double* out) override;
   double bondEnergy(int distIndex, Species a, Species b) const;
-  double regionEnergy(const Vet& vet, int state) const;
+  double siteEnergy(const Vet& vet, int state, int site) const;
 
-  const Cet& cet_;
   const Net& net_;
   Parameters params_;
   int firstShellIndex_ = -1;

@@ -4,7 +4,7 @@ namespace tkmc {
 
 EamEnergyModel::EamEnergyModel(const Cet& cet, const Net& net,
                                const EamPotential& potential)
-    : cet_(cet), net_(net), potential_(potential) {
+    : TetEnergyModel(cet, net), net_(net), potential_(potential) {
   numDist_ = static_cast<int>(net.distances().size());
   pairTable_.resize(static_cast<std::size_t>(kNumElements) * kNumElements *
                     numDist_);
@@ -22,42 +22,31 @@ EamEnergyModel::EamEnergyModel(const Cet& cet, const Net& net,
                             net.distances()[static_cast<std::size_t>(d)]);
 }
 
-double EamEnergyModel::regionEnergy(const Vet& vet, int state) const {
-  double total = 0.0;
-  for (int site = 0; site < cet_.nRegion(); ++site) {
-    const Species self = stateSpecies(vet, state, site);
-    if (self == Species::kVacancy) continue;
-    double pairSum = 0.0;
-    double density = 0.0;
-    for (const Net::Entry& e : net_.neighbors(site)) {
-      const Species nb = stateSpecies(vet, state, e.siteId);
-      if (nb == Species::kVacancy) continue;
-      pairSum += pairTable_[(static_cast<std::size_t>(static_cast<int>(self)) *
-                                 kNumElements +
-                             static_cast<int>(nb)) *
-                                numDist_ +
-                            e.distIndex];
-      density += densityTable_[static_cast<std::size_t>(static_cast<int>(nb)) *
-                                   numDist_ +
-                               e.distIndex];
-    }
-    total += 0.5 * pairSum + potential_.embedding(self, density);
+void EamEnergyModel::atomEnergies(std::span<Vet* const> vets, int numFinal,
+                                  double* out) {
+  for (const Vet* vet : vets)
+    for (int s = 0; s <= numFinal; ++s)
+      for (const int site : rows().sites(s)) *out++ = siteEnergy(*vet, s, site);
+}
+
+double EamEnergyModel::siteEnergy(const Vet& vet, int state, int site) const {
+  const Species self = stateSpecies(vet, state, site);
+  if (self == Species::kVacancy) return 0.0;  // masked by the reduction
+  double pairSum = 0.0;
+  double density = 0.0;
+  for (const Net::Entry& e : net_.neighbors(site)) {
+    const Species nb = stateSpecies(vet, state, e.siteId);
+    if (nb == Species::kVacancy) continue;
+    pairSum += pairTable_[(static_cast<std::size_t>(static_cast<int>(self)) *
+                               kNumElements +
+                           static_cast<int>(nb)) *
+                              numDist_ +
+                          e.distIndex];
+    density += densityTable_[static_cast<std::size_t>(static_cast<int>(nb)) *
+                                 numDist_ +
+                             e.distIndex];
   }
-  return total;
-}
-
-std::vector<double> EamEnergyModel::stateEnergies(const LatticeState& state,
-                                                  Vec3i center, int numFinal) {
-  Vet vet = Vet::gather(cet_, state, center);
-  return stateEnergiesFromVet(vet, numFinal);
-}
-
-std::vector<double> EamEnergyModel::stateEnergiesFromVet(Vet& vet,
-                                                         int numFinal) {
-  std::vector<double> energies(1 + static_cast<std::size_t>(numFinal));
-  for (int s = 0; s <= numFinal; ++s)
-    energies[static_cast<std::size_t>(s)] = regionEnergy(vet, s);
-  return energies;
+  return 0.5 * pairSum + potential_.embedding(self, density);
 }
 
 }  // namespace tkmc

@@ -28,10 +28,11 @@ class EnergyModel {
   virtual std::vector<double> stateEnergies(const LatticeState& state,
                                             Vec3i center, int numFinal) = 0;
 
-  /// Backends built on the triple-encoding tables can evaluate from an
-  /// already-gathered VET, which is what the vacancy cache feeds them.
-  /// Backends without VET support (the direct reference path) keep the
-  /// default and must be run with the cache disabled.
+  /// Backends built on the triple-encoding tables (TetEnergyModel)
+  /// evaluate from an already-gathered VET, which is what the vacancy
+  /// cache feeds them. Backends without VET support (the direct
+  /// reference path) keep these defaults and must be run with the cache
+  /// disabled.
   virtual bool supportsVet() const { return false; }
 
   virtual std::vector<double> stateEnergiesFromVet(Vet& vet, int numFinal) {
@@ -44,17 +45,12 @@ class EnergyModel {
   /// stateEnergies() vector of vets[i]; entries must be bit-identical to
   /// calling stateEnergiesFromVet(*vets[i], numFinal) one at a time, in
   /// order — engines rely on this to batch their propensity refreshes
-  /// without perturbing trajectories. The loop-based default keeps
-  /// non-batching backends (EAM, bond counting) working unchanged;
-  /// accelerator backends override it to amortize kernel dispatch and
-  /// weight movement over the whole batch.
+  /// without perturbing trajectories.
   virtual std::vector<std::vector<double>> stateEnergiesBatch(
       std::span<Vet* const> vets, int numFinal) {
-    std::vector<std::vector<double>> energies;
-    energies.reserve(vets.size());
-    for (Vet* vet : vets)
-      energies.push_back(stateEnergiesFromVet(*vet, numFinal));
-    return energies;
+    (void)vets;
+    (void)numFinal;
+    throw Error("this energy backend cannot evaluate from a VET");
   }
 
   /// True when stateEnergies*/stateEnergiesBatch may be called from

@@ -1,5 +1,7 @@
 #include "sunway/sunway_energy_model.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/telemetry/telemetry.hpp"
 
@@ -8,31 +10,15 @@ namespace tkmc {
 SunwayEnergyModel::SunwayEnergyModel(const Cet& cet, const Net& net,
                                      const FeatureTable& table,
                                      const Network& network, int mBlock)
-    : cet_(cet), features_(net, table, grid_, RowPlan::hopLocal(net)),
+    : TetEnergyModel(cet, net), features_(net, table, grid_, rows()),
       fusion_(network.foldedSnapshot(), grid_, mBlock) {
   require(network.inputDim() == table.numPq() * kNumElements,
           "network input dimension must match the descriptor");
   loadTraffic_ = fusion_.loadModel();
 }
 
-std::vector<double> SunwayEnergyModel::stateEnergies(const LatticeState& state,
-                                                     Vec3i center,
-                                                     int numFinal) {
-  Vet vet = Vet::gather(cet_, state, center);
-  return stateEnergiesFromVet(vet, numFinal);
-}
-
-std::vector<double> SunwayEnergyModel::stateEnergiesFromVet(Vet& vet,
-                                                            int numFinal) {
-  // The per-system path is the batched pipeline at batch size one, so
-  // the two cannot diverge numerically.
-  Vet* one = &vet;
-  return stateEnergiesBatch({&one, 1}, numFinal).front();
-}
-
-std::vector<std::vector<double>> SunwayEnergyModel::stateEnergiesBatch(
-    std::span<Vet* const> vets, int numFinal) {
-  if (vets.empty()) return {};
+void SunwayEnergyModel::atomEnergies(std::span<Vet* const> vets,
+                                     int numFinal, double* out) {
   TKMC_SPAN("sunway.batch_dispatch");
   namespace tm = telemetry;
   const bool instrumented = tm::enabled();
@@ -41,20 +27,10 @@ std::vector<std::vector<double>> SunwayEnergyModel::stateEnergiesBatch(
 
   vetPtrScratch_.assign(vets.begin(), vets.end());
   features_.computeBatch(vetPtrScratch_, numFinal, featureBuffer_);
-  const RowPlan& rows = features_.rows();
-  const std::size_t systemRows = rows.systemRows(numFinal);
-  energyBuffer_.resize(systemRows * vets.size());
+  energyBuffer_.resize(rows().systemRows(numFinal) * vets.size());
   fusion_.forward(featureBuffer_.data(), static_cast<int>(energyBuffer_.size()),
                   energyBuffer_.data());
-
-  // The MPE-side per-state reduction, accumulating the float atomic
-  // energies in double.
-  std::vector<std::vector<double>> energies(vets.size());
-  for (std::size_t sys = 0; sys < vets.size(); ++sys) {
-    energies[sys].resize(static_cast<std::size_t>(numFinal) + 1);
-    rows.reduce(*vets[sys], numFinal, energyBuffer_.data() + sys * systemRows,
-                energies[sys].data());
-  }
+  std::copy(energyBuffer_.begin(), energyBuffer_.end(), out);
 
   if (instrumented) {
     const Traffic after = grid_.peekTraffic();
@@ -68,7 +44,6 @@ std::vector<std::vector<double>> SunwayEnergyModel::stateEnergiesBatch(
     reg.histogram("sunway.dispatch.flops", tm::Histogram::trafficBounds())
         .observe(static_cast<double>(after.flops - before.flops));
   }
-  return energies;
 }
 
 }  // namespace tkmc

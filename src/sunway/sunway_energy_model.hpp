@@ -3,26 +3,24 @@
 #include <memory>
 #include <vector>
 
-#include "kmc/energy_model.hpp"
+#include "kmc/tet_energy_model.hpp"
 #include "nnp/network.hpp"
 #include "sunway/bigfusion_operator.hpp"
 #include "sunway/feature_operator.hpp"
-#include "tabulation/cet.hpp"
-#include "tabulation/net.hpp"
 
 namespace tkmc {
 
 /// The production TensorKMC energy backend: triple-encoding tables feeding
 /// the fast feature operator and the big-fusion operator on the simulated
 /// SW26010-pro core group, in single precision (the paper's Sec. 3.4-3.5
-/// pipeline, end to end).
+/// pipeline, end to end), as a site kernel behind the TET driver.
 ///
 /// The operators are fed only the rows of RowPlan::hopLocal(): every
 /// region site of the initial state, then Net::affectedSites(k) for each
-/// final state (235 of 531 rows per system at 4.0 A). RowPlan::reduce()
-/// takes a final state's unaffected sites from the initial state's float
-/// atomic energies and sums in site order. An unaffected row's features
-/// are bitwise the initial state's and detail::denseTile is
+/// final state (235 of 531 rows per system at 4.0 A). The kernel widens
+/// the float atomic energies to double, which is exact, and the driver's
+/// RowPlan::reduce() sums them in site order. An unaffected row's
+/// features are bitwise the initial state's and detail::denseTile is
 /// row-independent, so every energy is bitwise what the full-row
 /// pipeline gives. The operator-level figure benches (Fig. 9-13) keep
 /// FeatureOperator's full row plan: their DMA, RMA and flop counts are
@@ -33,28 +31,10 @@ namespace tkmc {
 /// agree to single-precision accumulation error. Trajectories driven by
 /// this backend are therefore statistically — not bitwise — equivalent to
 /// the double-precision path, exactly as on the real machine.
-class SunwayEnergyModel : public EnergyModel {
+class SunwayEnergyModel final : public TetEnergyModel {
  public:
   SunwayEnergyModel(const Cet& cet, const Net& net, const FeatureTable& table,
                     const Network& network, int mBlock = 32);
-
-  std::vector<double> stateEnergies(const LatticeState& state, Vec3i center,
-                                    int numFinal) override;
-
-  std::vector<double> stateEnergiesFromVet(Vet& vet, int numFinal) override;
-
-  /// Batched evaluation: one feature dispatch with the TABLE and packed
-  /// NET LDM-resident across all systems, one big-fusion forward over
-  /// the concatenated hop-local feature matrix (tile count scales with
-  /// the batch, keeping all CPE columns busy), then the per-state MPE
-  /// reductions.
-  /// Bit-identical to per-system stateEnergiesFromVet() calls in order.
-  /// While telemetry is enabled, records the batch-size histogram and
-  /// per-dispatch traffic (sunway.batch.*, sunway.dispatch.*).
-  std::vector<std::vector<double>> stateEnergiesBatch(
-      std::span<Vet* const> vets, int numFinal) override;
-
-  bool supportsVet() const override { return true; }
 
   const char* name() const override { return "nnp-tet-sunway"; }
 
@@ -73,7 +53,15 @@ class SunwayEnergyModel : public EnergyModel {
   const Traffic& modelLoadTraffic() const { return loadTraffic_; }
 
  private:
-  const Cet& cet_;
+  /// One feature dispatch with the TABLE and packed NET LDM-resident
+  /// across all systems, then one big-fusion forward over the
+  /// concatenated hop-local feature matrix (tile count scales with the
+  /// batch, keeping all CPE columns busy). While telemetry is enabled,
+  /// records the batch-size histogram and per-dispatch traffic
+  /// (sunway.batch.*, sunway.dispatch.*).
+  void atomEnergies(std::span<Vet* const> vets, int numFinal,
+                    double* out) override;
+
   CpeGrid grid_;
   FeatureOperator features_;
   BigFusionOperator fusion_;

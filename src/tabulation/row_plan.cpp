@@ -29,8 +29,7 @@ RowPlan::RowPlan(const Net& net, bool hopLocal) {
   }
 }
 
-template <typename T>
-void RowPlan::reduce(const Vet& vet, int numFinal, const T* atomE,
+void RowPlan::reduce(const Vet& vet, int numFinal, const double* atomE,
                      double* energies) const {
   const int nRegion = regionSites();
   for (int s = 0; s <= numFinal; ++s) {
@@ -39,15 +38,10 @@ void RowPlan::reduce(const Vet& vet, int numFinal, const T* atomE,
     double total = 0.0;
     for (int site = 0; site < nRegion; ++site) {
       if (stateSpecies(vet, s, site) == Species::kVacancy) continue;
-      total += static_cast<double>(atomE[rowOf[site]]);
+      total += atomE[rowOf[site]];
     }
     energies[s] = total;
   }
 }
-
-template void RowPlan::reduce<float>(const Vet&, int, const float*,
-                                     double*) const;
-template void RowPlan::reduce<double>(const Vet&, int, const double*,
-                                      double*) const;
 
 }  // namespace tkmc

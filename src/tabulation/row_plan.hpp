@@ -11,7 +11,7 @@
 
 namespace tkmc {
 
-/// Which (state, region site) rows an NNP evaluation of one vacancy
+/// Which (state, region site) rows a TET evaluation of one vacancy
 /// system computes, and where they sit among that system's rows.
 ///
 /// State 0 (the initial state) always evaluates every region site, in
@@ -54,12 +54,10 @@ class RowPlan {
   /// The per-state reduction: energies[s] for s = 0 .. numFinal from one
   /// system's atomic energies `atomE` ([systemRows(numFinal)], this
   /// plan's layout). A state's site energies are its own rows where it
-  /// has them and the initial state's elsewhere; they are accumulated in
-  /// double, over site ids in ascending order, with the state's
-  /// vacancies (stateSpecies of `vet`) masked out. Instantiated for
-  /// float and double atomic energies.
-  template <typename T>
-  void reduce(const Vet& vet, int numFinal, const T* atomE,
+  /// has them and the initial state's elsewhere; they are summed over
+  /// site ids in ascending order, with the state's vacancies
+  /// (stateSpecies of `vet`) masked out.
+  void reduce(const Vet& vet, int numFinal, const double* atomE,
               double* energies) const;
 
  private:

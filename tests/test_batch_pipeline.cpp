@@ -47,8 +47,8 @@ class BatchPipelineTest : public ::testing::Test {
   LatticeState state_;
 };
 
-// Forces the loop-based EnergyModel::stateEnergiesBatch default on top of
-// any backend — the per-system reference the batched override must match.
+// Evaluates a batch one system at a time through any backend — the
+// per-system reference the batched dispatch must match.
 class LoopedBatchModel : public EnergyModel {
  public:
   explicit LoopedBatchModel(EnergyModel& inner) : inner_(inner) {}
@@ -59,6 +59,13 @@ class LoopedBatchModel : public EnergyModel {
   }
   std::vector<double> stateEnergiesFromVet(Vet& vet, int numFinal) override {
     return inner_.stateEnergiesFromVet(vet, numFinal);
+  }
+  std::vector<std::vector<double>> stateEnergiesBatch(
+      std::span<Vet* const> vets, int numFinal) override {
+    std::vector<std::vector<double>> energies;
+    for (Vet* vet : vets)
+      energies.push_back(inner_.stateEnergiesFromVet(*vet, numFinal));
+    return energies;
   }
   bool supportsVet() const override { return inner_.supportsVet(); }
   const char* name() const override { return "looped-batch"; }

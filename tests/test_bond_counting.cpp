@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "analysis/cluster_analysis.hpp"
 #include "kmc/serial_engine.hpp"
+#include "vacancy_systems.hpp"
 
 namespace tkmc {
 namespace {
@@ -172,6 +175,77 @@ TEST(BondCounting, PrecipitationIsFasterThanWithEam) {
   EXPECT_EQ(after.totalAtoms, before.totalAtoms);
   EXPECT_LT(after.isolatedCount, before.isolatedCount);
 }
+
+// BondCountingModel evaluates a final state's site energies only where
+// its hop changes them and reuses the initial state's elsewhere. Every
+// state energy must still equal the full-region bond sum, site by site
+// in id order with vacancies masked, bit for bit.
+class BondCountingOracle : public ::testing::TestWithParam<double> {
+ protected:
+  BondCountingOracle() : cet_(kLatticeConstantFe, GetParam()), net_(cet_) {
+    // Shell indices found the way the model finds them.
+    const double a = cet_.latticeConstant();
+    for (std::size_t i = 0; i < net_.distances().size(); ++i) {
+      if (std::abs(net_.distances()[i] - a * std::sqrt(3.0) / 2.0) < 1e-9)
+        firstShell_ = static_cast<int>(i);
+      if (std::abs(net_.distances()[i] - a) < 1e-9)
+        secondShell_ = static_cast<int>(i);
+    }
+  }
+
+  std::vector<double> fullRecompute(const Vet& vet, int numFinal) const {
+    const auto slot = [](Species a, Species b) {
+      return static_cast<std::size_t>(static_cast<int>(a) + static_cast<int>(b));
+    };
+    std::vector<double> energies;
+    for (int s = 0; s <= numFinal; ++s) {
+      Vet state = vet;
+      if (s > 0) state.swap(0, Cet::jumpTargetId(s - 1));
+      double total = 0.0;
+      for (int site = 0; site < cet_.nRegion(); ++site) {
+        const Species self = state[site];
+        if (self == Species::kVacancy) continue;
+        double bonds = 0.0;
+        for (const Net::Entry& e : net_.neighbors(site)) {
+          if (e.distIndex != firstShell_ && e.distIndex != secondShell_)
+            continue;
+          const Species nb = state[e.siteId];
+          if (nb == Species::kVacancy) continue;
+          bonds += e.distIndex == firstShell_ ? params_.eps1[slot(self, nb)]
+                                              : params_.eps2[slot(self, nb)];
+        }
+        total += 0.5 * bonds;
+      }
+      energies.push_back(total);
+    }
+    return energies;
+  }
+
+  Cet cet_;
+  Net net_;
+  BondCountingModel::Parameters params_;
+  int firstShell_ = -1;
+  int secondShell_ = -1;
+};
+
+TEST_P(BondCountingOracle, SingleSystemEqualsFullRecompute) {
+  BondCountingModel model(cet_, net_, params_);
+  Rng rng(707);
+  expectSingleSystemsEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(vet, n);
+  });
+}
+
+TEST_P(BondCountingOracle, MixedSizeBatchesEqualFullRecompute) {
+  BondCountingModel model(cet_, net_, params_);
+  Rng rng(808);
+  expectBatchesEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(vet, n);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Cutoffs, BondCountingOracle,
+                         ::testing::Values(4.0, kDefaultCutoff));
 
 }  // namespace
 }  // namespace tkmc

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "kmc/eam_energy_model.hpp"
 #include "nnp/dataset.hpp"
+#include "vacancy_systems.hpp"
 
 namespace tkmc {
 namespace {
@@ -166,6 +168,65 @@ TEST(EamPotential, Eq7DecompositionMatchesAtomEnergy) {
       0.5 * pd.pairSum + eam.embedding(Species::kCu, pd.densitySum),
       eam.atomEnergy(Species::kCu, nb));
 }
+
+// EamEnergyModel evaluates a final state's site energies only where its
+// hop changes them and reuses the initial state's elsewhere. Every state
+// energy must still equal the full-region sum of Eq. 7, site by site in
+// id order with vacancies masked, bit for bit.
+class EamEnergyModelOracle : public ::testing::TestWithParam<double> {
+ protected:
+  EamEnergyModelOracle()
+      : cet_(kLatticeConstantFe, GetParam()), net_(cet_),
+        potential_(GetParam()) {}
+
+  std::vector<double> fullRecompute(const Vet& vet, int numFinal) const {
+    std::vector<double> energies;
+    for (int s = 0; s <= numFinal; ++s) {
+      Vet state = vet;
+      if (s > 0) state.swap(0, Cet::jumpTargetId(s - 1));
+      double total = 0.0;
+      for (int site = 0; site < cet_.nRegion(); ++site) {
+        const Species self = state[site];
+        if (self == Species::kVacancy) continue;
+        double pairSum = 0.0;
+        double density = 0.0;
+        for (const Net::Entry& e : net_.neighbors(site)) {
+          const Species nb = state[e.siteId];
+          if (nb == Species::kVacancy) continue;
+          const double r = net_.distances()[static_cast<std::size_t>(e.distIndex)];
+          pairSum += potential_.pair(self, nb, r);
+          density += potential_.density(nb, r);
+        }
+        total += 0.5 * pairSum + potential_.embedding(self, density);
+      }
+      energies.push_back(total);
+    }
+    return energies;
+  }
+
+  Cet cet_;
+  Net net_;
+  EamPotential potential_;
+};
+
+TEST_P(EamEnergyModelOracle, SingleSystemEqualsFullRecompute) {
+  EamEnergyModel model(cet_, net_, potential_);
+  Rng rng(505);
+  expectSingleSystemsEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(vet, n);
+  });
+}
+
+TEST_P(EamEnergyModelOracle, MixedSizeBatchesEqualFullRecompute) {
+  EamEnergyModel model(cet_, net_, potential_);
+  Rng rng(606);
+  expectBatchesEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(vet, n);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Cutoffs, EamEnergyModelOracle,
+                         ::testing::Values(4.0, kDefaultCutoff));
 
 }  // namespace
 }  // namespace tkmc

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "common/rng.hpp"
 #include "kmc/nnp_energy_model.hpp"
 #include "kmc/serial_engine.hpp"
+#include "vacancy_systems.hpp"
 
 namespace tkmc {
 namespace {
@@ -42,11 +42,6 @@ std::vector<double> fullRecompute(const Cet& cet, const RegionFeatures& rf,
   return energies;
 }
 
-int pick(Rng& rng, std::size_t n) {
-  return static_cast<int>(rng.uniform() * static_cast<double>(n)) %
-         static_cast<int>(n);
-}
-
 class NnpEnergyModelOracle : public ::testing::TestWithParam<double> {
  protected:
   NnpEnergyModelOracle()
@@ -65,38 +60,6 @@ class NnpEnergyModelOracle : public ::testing::TestWithParam<double> {
     network_.setInputTransform(shift, scale);
   }
 
-  // A random vacancy system: an Fe-Cu environment around the vacancy at
-  // site 0, plus extra vacancies on a jump target, on a site some hop
-  // changes, and on an unchanged site that neighbours a changed one (so
-  // masking and feature reuse both see vacancies).
-  Vet randomSystem(Rng& rng) const {
-    Vet vet(cet_.nAll());
-    for (int id = 1; id < cet_.nAll(); ++id)
-      vet.set(id, rng.uniform() < 0.3 ? Species::kCu : Species::kFe);
-    vet.set(0, Species::kVacancy);
-    const int k = pick(rng, kNumJumpDirections);
-    const auto affected = net_.affectedSites(k);
-    if (rng.uniform() < 0.5)
-      vet.set(Cet::jumpTargetId(pick(rng, kNumJumpDirections)),
-              Species::kVacancy);
-    if (rng.uniform() < 0.7)
-      vet.set(affected[static_cast<std::size_t>(pick(rng, affected.size()))],
-              Species::kVacancy);
-    if (rng.uniform() < 0.7) {
-      const int site =
-          affected[static_cast<std::size_t>(pick(rng, affected.size()))];
-      std::vector<int> unaffected;
-      for (const Net::Entry& e : net_.neighbors(site))
-        if (!std::binary_search(affected.begin(), affected.end(), e.siteId))
-          unaffected.push_back(e.siteId);
-      if (!unaffected.empty())
-        vet.set(unaffected[static_cast<std::size_t>(
-                    pick(rng, unaffected.size()))],
-                Species::kVacancy);
-    }
-    return vet;
-  }
-
   Cet cet_;
   Net net_;
   FeatureTable table_;
@@ -107,51 +70,17 @@ class NnpEnergyModelOracle : public ::testing::TestWithParam<double> {
 TEST_P(NnpEnergyModelOracle, SingleSystemEqualsFullRecompute) {
   NnpEnergyModel model(cet_, net_, table_, network_);
   Rng rng(101);
-  for (int i = 0; i < 120; ++i) {
-    Vet vet = randomSystem(rng);
-    const Vet before = vet;
-    const int numFinal = i % (kNumJumpDirections + 1);
-    const std::vector<double> energies =
-        model.stateEnergiesFromVet(vet, numFinal);
-    EXPECT_EQ(vet.data(), before.data()) << "system " << i;
-    const std::vector<double> expected =
-        fullRecompute(cet_, features_, network_, vet, numFinal);
-    ASSERT_EQ(energies.size(), expected.size());
-    for (std::size_t s = 0; s < expected.size(); ++s)
-      EXPECT_EQ(energies[s], expected[s])
-          << "system " << i << ", state " << s << " of " << numFinal;
-  }
+  expectSingleSystemsEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(cet_, features_, network_, vet, n);
+  });
 }
 
 TEST_P(NnpEnergyModelOracle, MixedSizeBatchesEqualFullRecompute) {
   NnpEnergyModel model(cet_, net_, table_, network_);
   Rng rng(202);
-  int systems = 0;
-  int batchIndex = 0;
-  for (const int batchSize : {1, 2, 3, 5, 8, 13, 21, 34, 1, 40}) {
-    std::vector<Vet> vets;
-    for (int i = 0; i < batchSize; ++i) vets.push_back(randomSystem(rng));
-    const std::vector<Vet> before = vets;
-    std::vector<Vet*> ptrs;
-    for (Vet& v : vets) ptrs.push_back(&v);
-    const int numFinal = batchIndex++ % (kNumJumpDirections + 1);
-    const auto batch = model.stateEnergiesBatch(ptrs, numFinal);
-    ASSERT_EQ(batch.size(), vets.size());
-    for (int i = 0; i < batchSize; ++i) {
-      const Vet& vet = vets[static_cast<std::size_t>(i)];
-      EXPECT_EQ(vet.data(), before[static_cast<std::size_t>(i)].data());
-      const std::vector<double> expected =
-          fullRecompute(cet_, features_, network_, vet, numFinal);
-      ASSERT_EQ(batch[static_cast<std::size_t>(i)].size(), expected.size());
-      for (std::size_t s = 0; s < expected.size(); ++s)
-        EXPECT_EQ(batch[static_cast<std::size_t>(i)][s], expected[s])
-            << "batch of " << batchSize << ", system " << i << ", state "
-            << s << " of " << numFinal;
-    }
-    systems += batchSize;
-  }
-  EXPECT_GE(systems, 120);
-  EXPECT_TRUE(model.stateEnergiesBatch({}, kNumJumpDirections).empty());
+  expectBatchesEqual(model, cet_, net_, rng, [&](const Vet& vet, int n) {
+    return fullRecompute(cet_, features_, network_, vet, n);
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Cutoffs, NnpEnergyModelOracle,
