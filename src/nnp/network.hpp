@@ -86,8 +86,6 @@ class Network {
   std::vector<Layer> layers_;
   std::vector<double> inputShift_;
   std::vector<double> inputScale_;
-
-  friend class Trainer;
 };
 
 }  // namespace tkmc

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/error.hpp"
+#include "nnp/dense_tile.hpp"
 
 namespace tkmc {
 
@@ -51,14 +52,28 @@ TrainSample makeSample(const Descriptor& descriptor, const LabeledStructure& ls,
   return sample;
 }
 
+namespace {
+
+void requireSamples(const std::vector<TrainSample>& samples, int inputDim) {
+  require(!samples.empty(), "cannot use an empty sample set");
+  for (const TrainSample& s : samples)
+    require(s.nAtoms > 0 && s.features.size() ==
+                                static_cast<std::size_t>(s.nAtoms) * inputDim,
+            "a sample needs nAtoms > 0 and nAtoms * inputDim features");
+}
+
+}  // namespace
+
 Trainer::Trainer(Network& network, Config config)
     : network_(network), config_(config), rng_(config.seed),
       lr_(config.learningRate) {
+  require(network.channels().back() == 1,
+          "the trained network must have a single output");
   weightState_.resize(static_cast<std::size_t>(network.numLayers()));
   biasState_.resize(static_cast<std::size_t>(network.numLayers()));
   weightGrads_.resize(static_cast<std::size_t>(network.numLayers()));
   biasGrads_.resize(static_cast<std::size_t>(network.numLayers()));
-  activations_.resize(static_cast<std::size_t>(network.numLayers()) + 1);
+  std::size_t weightCount = 0;
   for (int li = 0; li < network.numLayers(); ++li) {
     const auto& l = network.layer(li);
     weightState_[static_cast<std::size_t>(li)].m.assign(l.weights.size(), 0.0);
@@ -67,12 +82,15 @@ Trainer::Trainer(Network& network, Config config)
     biasState_[static_cast<std::size_t>(li)].v.assign(l.bias.size(), 0.0);
     weightGrads_[static_cast<std::size_t>(li)].assign(l.weights.size(), 0.0);
     biasGrads_[static_cast<std::size_t>(li)].assign(l.bias.size(), 0.0);
+    weightCount += l.weights.size();
   }
+  channelMajor_.resize(weightCount);
+  zeros_.assign(static_cast<std::size_t>(network.maxWidth()), 0.0);
 }
 
 void Trainer::fitStandardization(const std::vector<TrainSample>& samples) {
-  require(!samples.empty(), "cannot fit standardization on empty set");
   const int d = network_.inputDim();
+  requireSamples(samples, d);
   std::vector<double> mean(static_cast<std::size_t>(d), 0.0);
   std::vector<double> var(static_cast<std::size_t>(d), 0.0);
   std::size_t count = 0;
@@ -101,85 +119,93 @@ void Trainer::fitStandardization(const std::vector<TrainSample>& samples) {
   network_.setInputTransform(std::move(mean), std::move(scale));
 }
 
+// Each product below keeps the per-output summation order of the
+// per-atom loop it replaced, so the weights are bit-identical to it:
+// forward sums over input channels, the data gradient over outputs and
+// the weight and bias gradients over atoms, each ascending and starting
+// from +0 (or the bias). Masked ReLU entries are added as 0 instead of
+// skipped; a sum that starts at +0 never becomes -0, so adding +-0 leaves
+// it unchanged.
 void Trainer::step(const TrainSample& sample, double& lossOut) {
-  const int d = network_.inputDim();
+  const int n = sample.nAtoms;
   const int numLayers = network_.numLayers();
+  const auto rows = static_cast<std::size_t>(n);
 
-  // Zero gradients.
+  std::size_t actCount = 0;
+  for (int width : network_.channels()) actCount += rows * width;
+  activations_.resize(actCount);
+  const std::size_t gradCount = rows * network_.maxWidth();
+  grad_.resize(gradCount);
+  gradT_.resize(gradCount);
+  prevGrad_.resize(gradCount);
+
+  double* cm = channelMajor_.data();
   for (int li = 0; li < numLayers; ++li) {
-    std::fill(weightGrads_[static_cast<std::size_t>(li)].begin(),
-              weightGrads_[static_cast<std::size_t>(li)].end(), 0.0);
-    std::fill(biasGrads_[static_cast<std::size_t>(li)].begin(),
-              biasGrads_[static_cast<std::size_t>(li)].end(), 0.0);
+    const auto& l = network_.layer(li);
+    for (int o = 0; o < l.out; ++o)
+      for (int c = 0; c < l.in; ++c)
+        cm[static_cast<std::size_t>(c) * l.out + o] =
+            l.weights[static_cast<std::size_t>(o) * l.in + c];
+    cm += l.weights.size();
   }
 
-  // Forward all atoms, accumulate predicted total energy.
-  double predicted = 0.0;
-  // Retained activations for every atom would be large; instead run
-  // forward+backward per atom with the loss derivative applied after the
-  // total is known. We therefore do two passes: one to get the total,
-  // one to accumulate gradients.
+  // Forward: standardize, then one tile product per layer, keeping every
+  // layer's activations for the backward pass.
   const auto& shift = network_.inputShift();
   const auto& scale = network_.inputScale();
-  auto forwardAtom = [&](const double* raw, bool retain) {
-    auto& acts = activations_;
-    acts[0].resize(static_cast<std::size_t>(d));
-    for (int c = 0; c < d; ++c)
-      acts[0][static_cast<std::size_t>(c)] =
-          (raw[c] - shift[static_cast<std::size_t>(c)]) * scale[static_cast<std::size_t>(c)];
-    for (int li = 0; li < numLayers; ++li) {
-      const auto& l = network_.layer(li);
-      const bool last = li + 1 == numLayers;
-      acts[static_cast<std::size_t>(li) + 1].resize(static_cast<std::size_t>(l.out));
-      for (int o = 0; o < l.out; ++o) {
-        const double* w = l.weights.data() + static_cast<std::size_t>(o) * l.in;
-        double acc = l.bias[static_cast<std::size_t>(o)];
-        for (int c = 0; c < l.in; ++c)
-          acc += w[c] * acts[static_cast<std::size_t>(li)][static_cast<std::size_t>(c)];
-        acts[static_cast<std::size_t>(li) + 1][static_cast<std::size_t>(o)] =
-            last ? acc : std::max(acc, 0.0);
-      }
+  for (std::size_t a = 0; a < rows; ++a)
+    for (std::size_t c = 0; c < shift.size(); ++c) {
+      const std::size_t i = a * shift.size() + c;
+      activations_[i] = (sample.features[i] - shift[c]) * scale[c];
     }
-    (void)retain;
-    return acts[static_cast<std::size_t>(numLayers)][0];
-  };
-
-  for (int a = 0; a < sample.nAtoms; ++a)
-    predicted += forwardAtom(
-        sample.features.data() + static_cast<std::size_t>(a) * d, false);
+  double* x = activations_.data();
+  const double* w = channelMajor_.data();
+  for (int li = 0; li < numLayers; ++li) {
+    const auto& l = network_.layer(li);
+    double* y = x + rows * l.in;
+    detail::denseTile(x, w, l.bias.data(), y, n, l.in, l.out,
+                      li + 1 < numLayers);
+    w += l.weights.size();
+    x = y;
+  }
+  double predicted = 0.0;
+  for (int a = 0; a < n; ++a) predicted += x[a];
 
   // Loss: squared per-atom energy error.
-  const double perAtomError = (predicted - sample.energy) / sample.nAtoms;
+  const double perAtomError = (predicted - sample.energy) / n;
   lossOut = perAtomError * perAtomError;
   // dL/dE_total = 2 * perAtomError / nAtoms; same for every atomic energy.
-  const double dLdE = 2.0 * perAtomError / sample.nAtoms;
+  const double dLdE = 2.0 * perAtomError / n;
 
-  for (int a = 0; a < sample.nAtoms; ++a) {
-    forwardAtom(sample.features.data() + static_cast<std::size_t>(a) * d, true);
-    // Backward through the retained activations.
-    std::vector<double> grad{dLdE};
-    for (int li = numLayers - 1; li >= 0; --li) {
-      const auto& l = network_.layer(li);
-      const bool last = li + 1 == numLayers;
-      std::vector<double> prev(static_cast<std::size_t>(l.in), 0.0);
-      auto& wg = weightGrads_[static_cast<std::size_t>(li)];
-      auto& bg = biasGrads_[static_cast<std::size_t>(li)];
-      const auto& input = activations_[static_cast<std::size_t>(li)];
-      const auto& output = activations_[static_cast<std::size_t>(li) + 1];
+  // Backward: grad_ holds dL/d(output) of layer li as [n][out].
+  std::fill(grad_.begin(), grad_.begin() + n, dLdE);
+  double* output = x;
+  for (int li = numLayers - 1; li >= 0; --li) {
+    const auto& l = network_.layer(li);
+    double* input = output - rows * l.in;
+    auto& bg = biasGrads_[static_cast<std::size_t>(li)];
+    std::fill(bg.begin(), bg.end(), 0.0);
+    for (int a = 0; a < n; ++a)
       for (int o = 0; o < l.out; ++o) {
-        double g = grad[static_cast<std::size_t>(o)];
-        if (!last && output[static_cast<std::size_t>(o)] <= 0.0) g = 0.0;
-        if (g == 0.0) continue;
-        bg[static_cast<std::size_t>(o)] += g;
-        const double* w = l.weights.data() + static_cast<std::size_t>(o) * l.in;
-        double* wgRow = wg.data() + static_cast<std::size_t>(o) * l.in;
-        for (int c = 0; c < l.in; ++c) {
-          wgRow[c] += g * input[static_cast<std::size_t>(c)];
-          prev[static_cast<std::size_t>(c)] += g * w[c];
-        }
+        const std::size_t i = static_cast<std::size_t>(a) * l.out + o;
+        if (li + 1 < numLayers && output[i] <= 0.0) grad_[i] = 0.0;
+        bg[static_cast<std::size_t>(o)] += grad_[i];
+        gradT_[static_cast<std::size_t>(o) * rows + a] = grad_[i];
       }
-      grad = std::move(prev);
+    // wg[o][c] = 0 + sum_a g[a][o] * x[a][c]: x is channel-major with
+    // the atoms as its channels.
+    detail::denseTile(gradT_.data(), input, zeros_.data(),
+                      weightGrads_[static_cast<std::size_t>(li)].data(), l.out,
+                      n, l.in, false);
+    // prev[a][c] = 0 + sum_o g[a][o] * w[o][c]: row-major [out][in]
+    // weights are channel-major for this product. Layer 0's input
+    // gradient is never read.
+    if (li > 0) {
+      detail::denseTile(grad_.data(), l.weights.data(), zeros_.data(),
+                        prevGrad_.data(), n, l.out, l.in, false);
+      std::swap(grad_, prevGrad_);
     }
+    output = input;
   }
 
   // Adam update.
@@ -209,6 +235,7 @@ void Trainer::step(const TrainSample& sample, double& lossOut) {
 }
 
 double Trainer::epoch(const std::vector<TrainSample>& samples) {
+  requireSamples(samples, network_.inputDim());
   std::vector<std::size_t> order(samples.size());
   std::iota(order.begin(), order.end(), 0);
   for (std::size_t i = order.size(); i > 1; --i)
@@ -223,7 +250,7 @@ double Trainer::epoch(const std::vector<TrainSample>& samples) {
 }
 
 double Trainer::train(const std::vector<TrainSample>& samples) {
-  require(!samples.empty(), "cannot train on empty sample set");
+  requireSamples(samples, network_.inputDim());
   double last = 0.0;
   for (int e = 0; e < config_.epochs; ++e) {
     last = epoch(samples);
@@ -234,8 +261,9 @@ double Trainer::train(const std::vector<TrainSample>& samples) {
 
 Metrics Trainer::evaluateEnergy(const Network& network,
                                 const std::vector<TrainSample>& samples) {
+  requireSamples(samples, network.inputDim());
   Metrics m;
-  double sumAbs = 0.0, sumSq = 0.0, mean = 0.0;
+  double sumAbs = 0.0, mean = 0.0;
   std::vector<double> refs, preds;
   refs.reserve(samples.size());
   preds.reserve(samples.size());
@@ -257,7 +285,6 @@ Metrics Trainer::evaluateEnergy(const Network& network,
     ssRes += (preds[i] - refs[i]) * (preds[i] - refs[i]);
     ssTot += (refs[i] - mean) * (refs[i] - mean);
   }
-  (void)sumSq;
   m.maePerAtom = sumAbs / static_cast<double>(samples.size());
   m.r2 = ssTot > 0 ? 1.0 - ssRes / ssTot : 0.0;
   return m;

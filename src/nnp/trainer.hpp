@@ -51,6 +51,12 @@ struct Metrics {
 /// matching how the paper reports its 2.9 meV/atom MAE. Standardization
 /// of the input features is fitted from the training set and stored in
 /// the network so that inference needs no side-band statistics.
+///
+/// A step runs the whole sample through detail::denseTile: one batched
+/// forward that keeps every layer's activations, then per layer a
+/// weight-gradient and a data-gradient product (DESIGN §21, "Training
+/// through the tile kernel"). Every sample must have nAtoms > 0 and
+/// nAtoms * inputDim() features; the entry points throw Error otherwise.
 class Trainer {
  public:
   struct Config {
@@ -60,6 +66,7 @@ class Trainer {
     std::uint64_t seed = 7;
   };
 
+  /// The network must have a single output (the atomic energy).
   Trainer(Network& network, Config config);
 
   /// Computes per-feature mean/std from the samples and installs the
@@ -98,10 +105,19 @@ class Trainer {
   long steps_ = 0;
   std::vector<AdamState> weightState_;
   std::vector<AdamState> biasState_;
-  // Scratch reused across steps.
-  std::vector<std::vector<double>> activations_;
   std::vector<std::vector<double>> weightGrads_;
   std::vector<std::vector<double>> biasGrads_;
+  // Step scratch, resized per sample (capacity only grows): channel-major
+  // weights of every layer; every layer boundary's [nAtoms][width]
+  // activations, back to back; the output gradient [nAtoms][out], its
+  // transpose [out][nAtoms] and the input gradient [nAtoms][in]; zeros
+  // to start each gradient sum from.
+  std::vector<double> channelMajor_;
+  std::vector<double> activations_;
+  std::vector<double> grad_;
+  std::vector<double> gradT_;
+  std::vector<double> prevGrad_;
+  std::vector<double> zeros_;
 };
 
 }  // namespace tkmc
