@@ -36,6 +36,19 @@ FaultInjector::Point& FaultInjector::pointLocked(const std::string& name) {
   return it->second;
 }
 
+FaultInjector::KeyState& FaultInjector::keyLocked(const std::string& name,
+                                                  Point& p,
+                                                  std::uint64_t key) {
+  auto it = p.keys.find(key);
+  if (it == p.keys.end()) {
+    KeyState ks;
+    const std::uint64_t pointSeed = SplitMix64(seed_ ^ hashName(name)).next();
+    ks.rng = Rng(SplitMix64(pointSeed ^ (key * 0x9E3779B97F4A7C15ULL)).next());
+    it = p.keys.emplace(key, std::move(ks)).first;
+  }
+  return it->second;
+}
+
 void FaultInjector::armProbability(const std::string& name,
                                    double probability) {
   require(probability >= 0.0 && probability <= 1.0,
@@ -54,6 +67,17 @@ void FaultInjector::armSchedule(const std::string& name,
   }
 }
 
+void FaultInjector::armChannelSchedule(const std::string& name,
+                                       std::uint64_t key,
+                                       std::vector<std::uint64_t> hits) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  KeyState& ks = keyLocked(name, pointLocked(name), key);
+  for (const std::uint64_t h : hits) {
+    require(h > 0, "schedule ordinals are 1-based");
+    ks.schedule.insert(h);
+  }
+}
+
 void FaultInjector::armOnce(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   Point& p = pointLocked(name);
@@ -66,6 +90,7 @@ void FaultInjector::disarm(const std::string& name) {
   if (it == points_.end()) return;
   it->second.probability = 0.0;
   it->second.schedule.clear();
+  for (auto& [key, ks] : it->second.keys) ks.schedule.clear();
 }
 
 void FaultInjector::disarmAll() {
@@ -73,6 +98,7 @@ void FaultInjector::disarmAll() {
   for (auto& [name, p] : points_) {
     p.probability = 0.0;
     p.schedule.clear();
+    for (auto& [key, ks] : p.keys) ks.schedule.clear();
   }
 }
 
@@ -115,20 +141,14 @@ bool FaultInjector::shouldFire(const std::string& name, std::uint64_t key) {
   // Channel-stream mode: each (point, key) pair owns a deterministic
   // sub-stream and hit counter, so whether a given per-channel hit
   // ordinal fires is independent of how rank threads interleave.
-  auto it = p.keys.find(key);
-  if (it == p.keys.end()) {
-    KeyState ks;
-    const std::uint64_t pointSeed = SplitMix64(seed_ ^ hashName(name)).next();
-    ks.rng = Rng(SplitMix64(pointSeed ^ (key * 0x9E3779B97F4A7C15ULL)).next());
-    it = p.keys.emplace(key, std::move(ks)).first;
-  }
-  KeyState& ks = it->second;
+  KeyState& ks = keyLocked(name, p, key);
   ++ks.hits;
   ++p.hits;
   bool fire = false;
-  // Schedules stay armed across keys: an ordinal names the same
+  // Point schedules stay armed across keys: an ordinal names the same
   // per-channel hit on every channel (count, not erase).
-  if (p.schedule.count(ks.hits) > 0) fire = true;
+  if (p.schedule.count(ks.hits) > 0 || ks.schedule.erase(ks.hits) > 0)
+    fire = true;
   if (p.probability > 0.0 && ks.rng.uniform() < p.probability) fire = true;
   if (fire) ++p.fires;
   return fire;

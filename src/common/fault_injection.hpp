@@ -54,6 +54,13 @@ class FaultInjector {
   /// channel-stream mode ordinals count per channel key instead.
   void armSchedule(const std::string& point, std::vector<std::uint64_t> hits);
 
+  /// Arms `point` to fire on the given 1-based per-channel hit ordinals
+  /// of one channel key only (channel-stream mode; SimComm's keys come
+  /// from SimComm::channelKey). Lets a test fault one channel, say a
+  /// fold or vote channel, while every other channel runs clean.
+  void armChannelSchedule(const std::string& point, std::uint64_t key,
+                          std::vector<std::uint64_t> hits);
+
   /// Arms `point` to fire on its next hit only.
   void armOnce(const std::string& point);
 
@@ -109,6 +116,7 @@ class FaultInjector {
   struct KeyState {
     Rng rng{0};
     std::uint64_t hits = 0;
+    std::set<std::uint64_t> schedule;  // this key's 1-based ordinals
   };
 
   struct Point {
@@ -121,6 +129,7 @@ class FaultInjector {
   };
 
   Point& pointLocked(const std::string& name);
+  KeyState& keyLocked(const std::string& name, Point& p, std::uint64_t key);
   bool fireLocked(Point& p);
 
   std::uint64_t seed_;

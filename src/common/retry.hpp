@@ -8,10 +8,10 @@
 namespace tkmc {
 
 /// Bounded-retry policy: total attempt budget plus a capped exponential
-/// backoff curve with deterministic jitter. Shared by the checkpoint
-/// ShardStreamer (real sleeps between remote put attempts) and the
-/// ghost-exchange ARQ resend path (attempt bookkeeping only — its
-/// delays are zero so retransmission stays inside the logical clock).
+/// backoff curve with deterministic jitter. Used by the checkpoint
+/// ShardStreamer (real sleeps between remote put attempts). The comm
+/// ARQ (SimComm::receiveReliable) keeps a plain attempt bound instead:
+/// its retransmissions stay inside the logical clock.
 struct RetryPolicy {
   int maxAttempts = 5;        // total tries before giving up, >= 1
   double baseDelayMs = 2.0;   // backoff before the 2nd attempt

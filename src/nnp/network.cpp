@@ -78,6 +78,16 @@ double Network::atomEnergy(std::span<const double> features) const {
   return forwardOne(features.data(), scratch.data());
 }
 
+void Network::channelMajorWeights(double* out) const {
+  for (const Layer& l : layers_) {
+    for (int o = 0; o < l.out; ++o)
+      for (int c = 0; c < l.in; ++c)
+        out[static_cast<std::size_t>(c) * l.out + o] =
+            l.weights[static_cast<std::size_t>(o) * l.in + c];
+    out += l.weights.size();
+  }
+}
+
 void Network::forwardBatch(const double* features, int nAtoms,
                            double* atomEnergies) const {
   // Per-thread scratch, allocated once per thread: channel-major copies
@@ -92,14 +102,7 @@ void Network::forwardBatch(const double* features, int nAtoms,
   if (scratch.size() < weightCount + 2 * tileSize)
     scratch.resize(weightCount + 2 * tileSize);
 
-  double* channelMajor = scratch.data();
-  for (const Layer& l : layers_) {
-    for (int o = 0; o < l.out; ++o)
-      for (int c = 0; c < l.in; ++c)
-        channelMajor[static_cast<std::size_t>(c) * l.out + o] =
-            l.weights[static_cast<std::size_t>(o) * l.in + c];
-    channelMajor += l.weights.size();
-  }
+  channelMajorWeights(scratch.data());
 
   const int in = inputDim();
   const int outLast = channels_.back();

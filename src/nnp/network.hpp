@@ -57,6 +57,11 @@ class Network {
   void forwardBatch(const double* features, int nAtoms,
                     double* atomEnergies) const;
 
+  /// Writes every layer's weights, in layer order, transposed to
+  /// channel-major [in][out] (the layout detail::denseTile reads) into
+  /// `out`, which holds the total weight count.
+  void channelMajorWeights(double* out) const;
+
   /// Sum of atomic energies over a batch (the AKMC state energy).
   double stateEnergy(const double* features, int nAtoms) const;
 

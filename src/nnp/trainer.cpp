@@ -139,15 +139,7 @@ void Trainer::step(const TrainSample& sample, double& lossOut) {
   gradT_.resize(gradCount);
   prevGrad_.resize(gradCount);
 
-  double* cm = channelMajor_.data();
-  for (int li = 0; li < numLayers; ++li) {
-    const auto& l = network_.layer(li);
-    for (int o = 0; o < l.out; ++o)
-      for (int c = 0; c < l.in; ++c)
-        cm[static_cast<std::size_t>(c) * l.out + o] =
-            l.weights[static_cast<std::size_t>(o) * l.in + c];
-    cm += l.weights.size();
-  }
+  network_.channelMajorWeights(channelMajor_.data());
 
   // Forward: standardize, then one tile product per layer, keeping every
   // layer's activations for the backward pass.

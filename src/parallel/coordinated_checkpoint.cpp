@@ -239,22 +239,25 @@ void CheckpointStore::attachRemote(std::shared_ptr<RemoteShardStore> remote) {
   remote_ = std::move(remote);
 }
 
-std::vector<std::uint64_t> CheckpointStore::remoteEpochs() const {
-  std::vector<std::uint64_t> found;
-  if (!remote_) return found;
-  try {
-    for (const std::string& name : remote_->listEpochs()) {
-      std::uint64_t epoch = 0;
-      char trailing = 0;
-      if (std::sscanf(name.c_str(), "epoch_%" SCNu64 "%c", &epoch,
-                      &trailing) == 1)
-        found.push_back(epoch);
+std::vector<std::uint64_t> CheckpointStore::candidateEpochs() const {
+  std::vector<std::uint64_t> all = epochs();
+  const std::size_t local = all.size();
+  if (remote_) {
+    try {
+      for (const std::string& name : remote_->listEpochs()) {
+        std::uint64_t epoch = 0;
+        char trailing = 0;
+        if (std::sscanf(name.c_str(), "epoch_%" SCNu64 "%c", &epoch,
+                        &trailing) == 1)
+          all.push_back(epoch);
+      }
+    } catch (const std::exception&) {
+      all.resize(local);  // an unreachable remote degrades to local-only
     }
-  } catch (const std::exception&) {
-    found.clear();  // an unreachable remote degrades to local-only
   }
-  std::sort(found.begin(), found.end());
-  return found;
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  return all;
 }
 
 bool CheckpointStore::tryHealFromRemote(std::uint64_t epoch) const {
@@ -343,25 +346,14 @@ bool CheckpointStore::chainValid(std::uint64_t epoch) const {
 }
 
 std::optional<std::uint64_t> CheckpointStore::newestCompleteEpoch() const {
-  // Candidates are the union of local and remote epochs: an epoch whose
-  // local directory died with its node is still a restart point when
-  // the remote copy heals (chainValid -> epochComplete pulls it back).
-  std::vector<std::uint64_t> all = epochs();
-  const std::vector<std::uint64_t> remote = remoteEpochs();
-  all.insert(all.end(), remote.begin(), remote.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  const std::vector<std::uint64_t> all = candidateEpochs();
   for (auto it = all.rbegin(); it != all.rend(); ++it)
     if (chainValid(*it)) return *it;
   return std::nullopt;
 }
 
 CheckpointStore::ResolvedEpoch CheckpointStore::loadNewestResolvable() const {
-  std::vector<std::uint64_t> all = epochs();
-  const std::vector<std::uint64_t> remote = remoteEpochs();
-  all.insert(all.end(), remote.begin(), remote.end());
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
+  const std::vector<std::uint64_t> all = candidateEpochs();
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
     if (!chainValid(*it)) continue;
     try {

@@ -256,8 +256,12 @@ class CheckpointStore {
   /// placement CRC/size pin (torn or half-streamed copies are refused
   /// whole — recovery then falls back to an older epoch).
   bool tryHealFromRemote(std::uint64_t epoch) const;
-  /// Epoch numbers present in the remote store (complete or not).
-  std::vector<std::uint64_t> remoteEpochs() const;
+  /// Restart-point candidates, ascending and de-duplicated: committed
+  /// local epochs plus every epoch present in the remote store (complete
+  /// or not). An epoch whose local directory died with its node is still
+  /// a restart point when the remote copy heals (chainValid ->
+  /// epochComplete pulls it back).
+  std::vector<std::uint64_t> candidateEpochs() const;
   /// Chain length in delta links (0 = full epoch), or -1 when any link
   /// fails validation.
   int chainDepthOrNegative(std::uint64_t epoch) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/retry.hpp"
 #include "common/telemetry/telemetry.hpp"
 
 namespace tkmc {
@@ -173,68 +172,27 @@ void GhostExchange::receiveSlabs(int rank, std::vector<Subdomain>& domains,
     Vec3i dirVec{};
     setAxis(dirVec, axis, -dir);
     const int source = decomp_.neighborRank(rank, dirVec);
-    const int tag = kTagBase + axis * 2 + (dir > 0 ? 1 : 0);
     const Box box = recvBox(sd, axis, dir);
-    const double waitStart = comm_.nowMs();
-    // Give-up bookkeeping via the shared RetryPolicy (src/common/retry).
-    // Backoff stays zero: ARQ retransmission runs inside the
-    // deterministic logical clock, so only the attempt bound is reused
-    // here — the checkpoint ShardStreamer uses the same policy with
-    // real exponential delays.
-    RetrySchedule arq(RetryPolicy{maxAttempts_, /*baseDelayMs=*/0.0,
-                                  /*multiplier=*/1.0, /*maxDelayMs=*/0.0,
-                                  /*jitterFrac=*/0.0});
-    for (;;) {
-      try {
-        const auto payload = comm_.receive(rank, source, tag);
-        const std::size_t sites = boxSites(box.lo, box.hi);
-        if (!payload.empty() && payload[0] == kChangeList) {
-          sd.applyChanges(box.lo, box.hi, decodeChanges(payload, sites));
-        } else if (payload.size() == 1 + sites && payload[0] == kFullSlab) {
-          sd.unpackCellBox(box.lo, box.hi,
-                           std::vector<std::uint8_t>(payload.begin() + 1,
-                                                     payload.end()));
-          fullReceived_[static_cast<std::size_t>(rank)] = 1;
-        } else {
-          throw CommError("malformed ghost slab");
-        }
-        break;
-      } catch (const CommError&) {
-        // Purge the failed channel so the retransmission gets a fresh
-        // sequence number, then resend on the sender's behalf from the
-        // payload the sender buffered at pack time — bit-identical to
-        // the original, with no read of the sender's live store.
-        comm_.resetChannel(source, rank, tag);
-        arq.recordFailure();
-        if (comm_.leaseEnabled()) {
-          // A resend from a live sender renews its lease, so from the
-          // second attempt on a live peer polls kAlive and the normal
-          // attempt bound applies; only a truly silent peer keeps the
-          // receiver polling until its lease expires.
-          const SimComm::PeerVerdict verdict =
-              comm_.pollPeer(source, waitStart);
-          if (verdict == SimComm::PeerVerdict::kFailed) {
-            const double detectMs = comm_.nowMs() - comm_.lastBeatMs(source);
-            telemetry::flightRecorder().record(
-                rank, telemetry::BlackboxEventType::kLeaseExpired, tag,
-                static_cast<std::uint64_t>(source),
-                static_cast<std::uint64_t>(detectMs));
-            throw RankFailure(
-                source, detectMs,
-                "rank " + std::to_string(source) +
-                    " fail-stop: ghost slab lease expired on tag " +
-                    std::to_string(tag));
+    const std::size_t sites = boxSites(box.lo, box.hi);
+    // Applying inside the ARQ's accept step means a malformed slab is
+    // retransmitted like a lost one; nothing is written before the
+    // payload parses. The resend source is the copy the sender
+    // buffered at pack time, with no read of its live store.
+    comm_.receiveReliable(
+        rank, source, kTagBase + axis * 2 + (dir > 0 ? 1 : 0),
+        slabBuffer(source, axis, dir), maxAttempts_, retries_, "ghost slab",
+        [&](const std::vector<std::uint8_t>& payload) {
+          if (!payload.empty() && payload[0] == kChangeList) {
+            sd.applyChanges(box.lo, box.hi, decodeChanges(payload, sites));
+          } else if (payload.size() == 1 + sites && payload[0] == kFullSlab) {
+            sd.unpackCellBox(box.lo, box.hi,
+                             std::vector<std::uint8_t>(payload.begin() + 1,
+                                                       payload.end()));
+            fullReceived_[static_cast<std::size_t>(rank)] = 1;
+          } else {
+            throw CommError("malformed ghost slab");
           }
-          if (arq.exhausted() && verdict == SimComm::PeerVerdict::kAlive)
-            throw;
-        } else if (arq.exhausted()) {
-          throw;
-        }
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::tracer().instant("ghost.retry", rank);
-        comm_.send(source, rank, tag, slabBuffer(source, axis, dir));
-      }
-    }
+        });
   }
 }
 
@@ -256,33 +214,25 @@ void GhostExchange::exchangeAll(std::vector<Subdomain>& domains,
         domains[static_cast<std::size_t>(r)].resyncPending())
       resyncRound_ = true;
   std::fill(fullReceived_.begin(), fullReceived_.end(), 0);
+  // A null team means inline: the same phases, in rank order, on the
+  // caller's thread.
+  RankTeam inlineTeam(decomp_.rankCount(), /*threaded=*/false);
+  RankTeam& ranks = team != nullptr ? *team : inlineTeam;
   for (int axis : {2, 1, 0}) {
     // Single-rank axes carry no ghost shell: nothing to exchange.
     if (axisOf(decomp_.rankGrid(), axis) < 2) continue;
     TKMC_SPAN(kAxisSpanName[axis]);
-    if (team != nullptr) {
-      // Concurrent halves with a barrier between: every alive rank
-      // packs and posts its slabs, then every alive rank unpacks into
-      // its own ghost shell — same bulk-synchronous schedule, real
-      // thread-parallel execution.
-      team->run([&](int r) {
-        if (!comm_.rankAlive(r)) return;
-        sendSlabs(r, domains[static_cast<std::size_t>(r)], axis);
-      });
-      team->run([&](int r) {
-        if (!comm_.rankAlive(r)) return;
-        receiveSlabs(r, domains, axis);
-      });
-      continue;
-    }
-    for (int r = 0; r < decomp_.rankCount(); ++r) {
-      if (!comm_.rankAlive(r)) continue;
+    // Two halves with a barrier between: every alive rank packs and
+    // posts its slabs, then every alive rank unpacks into its own ghost
+    // shell.
+    ranks.run([&](int r) {
+      if (!comm_.rankAlive(r)) return;
       sendSlabs(r, domains[static_cast<std::size_t>(r)], axis);
-    }
-    for (int r = 0; r < decomp_.rankCount(); ++r) {
-      if (!comm_.rankAlive(r)) continue;
+    });
+    ranks.run([&](int r) {
+      if (!comm_.rankAlive(r)) return;
       receiveSlabs(r, domains, axis);
-    }
+    });
   }
   for (Subdomain& sd : domains) sd.clearChanges();
   if (telemetry::enabled()) {

@@ -33,20 +33,20 @@ namespace tkmc {
 /// it leaves are the ones a full-slab exchange would leave.
 ///
 /// The driver is bulk-synchronous: sendSlabs() for every rank, then
-/// receiveSlabs() for every rank, per axis. With a RankTeam supplied,
-/// each half-stage fans out across the rank threads — every send slab
-/// of an axis packs and posts concurrently, then every receive unpacks
-/// concurrently. The barrier between the halves means receives only
-/// ever write their *own* subdomain's ghost cells and change list while
-/// no other thread touches them, so no per-site synchronization is
-/// needed. Ranks marked fail-stop in the communicator are skipped on
+/// receiveSlabs() for every rank, per axis, each half run through a
+/// RankTeam (inline when none is supplied). On a threaded team every
+/// send slab of an axis packs and posts concurrently, then every receive
+/// unpacks concurrently. The barrier between the halves means receives
+/// only ever write their *own* subdomain's ghost cells and change list
+/// while no other thread touches them, so no per-site synchronization
+/// is needed. Ranks marked fail-stop in the communicator are skipped on
 /// both sides.
 ///
-/// A CRC or sequence failure detected by SimComm's framing, or a
-/// malformed payload, triggers per-slab retransmission (ARQ): the
-/// receiver purges the failed channel and re-sends, on the sender's
-/// behalf, the payload the sender buffered at send time — bit-identical
-/// to the original, and free of cross-thread reads of the sender's live
+/// Each slab is received through SimComm::receiveReliable(), with the
+/// unpack as its accept step: a CRC or sequence failure, or a malformed
+/// payload, purges the channel and re-sends, on the sender's behalf, the
+/// payload the sender buffered at send time — bit-identical to the
+/// original, and free of cross-thread reads of the sender's live
 /// species store. Up to maxAttempts() tries before the CommError
 /// surfaces to the engine. retries() counts the absorbed failures. With
 /// the communicator's heartbeat lease armed, a channel that stays silent
@@ -56,10 +56,10 @@ class GhostExchange {
  public:
   GhostExchange(const Decomposition& decomp, SimComm& comm);
 
-  /// Runs the full three-stage exchange across all subdomains (driver
-  /// convenience; `domains[r]` belongs to rank r), retransmitting slabs
-  /// whose frames fail message-integrity checks. With a team, each
-  /// half-stage runs one job per rank thread.
+  /// Runs the full three-stage exchange across all subdomains
+  /// (`domains[r]` belongs to rank r), retransmitting slabs whose frames
+  /// fail message-integrity checks. Each half-stage runs one job per
+  /// rank on `team`; nullptr runs them inline, in rank order.
   void exchangeAll(std::vector<Subdomain>& domains, RankTeam* team = nullptr);
 
   /// Bounds the delivery attempts per slab (>= 1).

@@ -30,6 +30,15 @@ Vet gatherVet(const Cet& cet, const Subdomain& sd, Vec3i center) {
   return vet;
 }
 
+// Largest coordinate component over the CET's sites (doubled units):
+// the reach of a vacancy system along any axis.
+int cetReach(const Cet& cet) {
+  int reach = 0;
+  for (const Vec3i& s : cet.sites())
+    reach = std::max({reach, std::abs(s.x), std::abs(s.y), std::abs(s.z)});
+  return reach;
+}
+
 int wrapMod(int v, int n) {
   int r = v % n;
   if (r < 0) r += n;
@@ -39,11 +48,7 @@ int wrapMod(int v, int n) {
 }  // namespace
 
 int requiredGhostCells(const Cet& cet) {
-  int maxComp = 0;
-  for (const Vec3i& s : cet.sites()) {
-    maxComp = std::max({maxComp, std::abs(s.x), std::abs(s.y), std::abs(s.z)});
-  }
-  return (maxComp + 1) / 2;  // doubled units -> unit cells, rounded up
+  return (cetReach(cet) + 1) / 2;  // doubled units -> unit cells, rounded up
 }
 
 std::uint64_t recoverySeed(std::uint64_t seed, std::uint64_t epoch,
@@ -185,20 +190,21 @@ void ParallelEngine::afterCommit(std::uint64_t epoch) {
 void ParallelEngine::buildFabric(const LatticeState& initial) {
   require(model_.supportsVet(),
           "parallel engine requires a VET-capable energy backend");
+  // The team is rebuilt with the fabric: recovery can change the rank
+  // count, and a threaded team's threads are parked between phases, so
+  // destroying the old one is a plain join.
   fabric_ = std::make_unique<Fabric>(
       Vec3i{lattice_.cellsX(), lattice_.cellsY(), lattice_.cellsZ()},
-      config_.rankGrid);
-  const int ghost = requiredGhostCells(cet_);
+      config_.rankGrid, config_.threaded);
+  const int reach = cetReach(cet_);
+  const int ghost = (reach + 1) / 2;
   const Vec3i extent = fabric_->decomp.extentCells();
   require(extent.x % 2 == 0 && extent.y % 2 == 0 && extent.z % 2 == 0,
           "subdomain extents must be even (octant sectors)");
   // Sector separation: concurrently active octants of neighbouring ranks
   // are one sector width apart; that width must exceed the span a sector
   // window can influence (vacancy-system radius plus one hop).
-  int maxComp = 0;
-  for (const Vec3i& s : cet_.sites())
-    maxComp = std::max({maxComp, std::abs(s.x), std::abs(s.y), std::abs(s.z)});
-  const int minSectorDoubled = maxComp + 2;
+  const int minSectorDoubled = reach + 2;
   require(extent.x >= minSectorDoubled && extent.y >= minSectorDoubled &&
               extent.z >= minSectorDoubled,
           "subdomains too small for conflict-free sublattice sectors at "
@@ -233,18 +239,12 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
     eventTypeMetricNames_.push_back(std::string("engine.events.by_type.") +
                                     catalog_->typeInfo(t).name);
   // Rates become stale within the vacancy-system radius of a changed site.
-  interactionRadius_ = (maxComp + 2) * lattice_.latticeConstant() / 2.0;
+  interactionRadius_ = (reach + 2) * lattice_.latticeConstant() / 2.0;
   expectedVacancies_ = vacancyCount();
   fabric_->exchange.setMaxAttempts(config_.commMaxAttempts);
   if (config_.heartbeatTimeoutMs > 0.0)
     fabric_->comm.setLease(config_.heartbeatIntervalMs,
                            config_.heartbeatTimeoutMs);
-  // The team is rebuilt with the fabric: recovery can change the rank
-  // count, and the old team's threads are parked between phases, so
-  // destroying it here is a plain join.
-  team_.reset();
-  if (config_.threaded)
-    team_ = std::make_unique<RankTeam>(rankCount());
 }
 
 Vec3i ParallelEngine::localCell(int rank, Vec3i p) const {
@@ -326,16 +326,15 @@ void ParallelEngine::runSector(int rank, int sector) {
     if (!staleIdx.empty()) {
       staleVetPtrs.reserve(staleVets.size());
       for (Vet& vet : staleVets) staleVetPtrs.push_back(&vet);
-      std::vector<std::vector<double>> energies;
-      if (team_ && !model_.concurrentDispatchSafe()) {
-        // Rank threads share one backend instance; backends with
-        // mutable scratch are serialized (energies are pure functions
-        // of the VETs, so serialization cannot change the trajectory).
-        std::lock_guard<std::mutex> lock(modelMutex_);
-        energies = model_.stateEnergiesBatch(staleVetPtrs, kNumJumpDirections);
-      } else {
-        energies = model_.stateEnergiesBatch(staleVetPtrs, kNumJumpDirections);
-      }
+      // Rank threads share one backend instance; backends with mutable
+      // scratch are serialized (energies are pure functions of the VETs,
+      // so serialization cannot change the trajectory).
+      const std::vector<std::vector<double>> energies = [&] {
+        std::unique_lock<std::mutex> lock(modelMutex_, std::defer_lock);
+        if (fabric_->team.threaded() && !model_.concurrentDispatchSafe())
+          lock.lock();
+        return model_.stateEnergiesBatch(staleVetPtrs, kNumJumpDirections);
+      }();
       for (std::size_t i = 0; i < staleIdx.size(); ++i) {
         const std::size_t v = staleIdx[i];
         for (int t = 0; t < types; ++t) {
@@ -497,60 +496,17 @@ void ParallelEngine::runSector(int rank, int sector) {
   }
 }
 
-std::vector<std::uint8_t> ParallelEngine::receiveReliable(
-    int rank, int from, int tag, const std::vector<std::uint8_t>& resend,
-    std::atomic<std::uint64_t>& retryCounter, const char* what) {
-  SimComm& comm = fabric_->comm;
-  const double waitStart = comm.nowMs();
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return comm.receive(rank, from, tag);
-    } catch (const CommError&) {
-      // Purge the failed channel so the retransmission gets a fresh
-      // sequence number, then resend on the sender's behalf from the
-      // buffered copy (ARQ).
-      comm.resetChannel(from, rank, tag);
-      if (comm.leaseEnabled()) {
-        // A resend from a live sender renews its lease, so from the
-        // second attempt on a live peer polls kAlive and the normal
-        // attempt bound applies; only a truly silent peer keeps the
-        // receiver polling until its lease expires.
-        const SimComm::PeerVerdict verdict = comm.pollPeer(from, waitStart);
-        if (verdict == SimComm::PeerVerdict::kFailed) {
-          const double detectMs = comm.nowMs() - comm.lastBeatMs(from);
-          telemetry::flightRecorder().record(
-              rank, telemetry::BlackboxEventType::kLeaseExpired, tag,
-              static_cast<std::uint64_t>(from),
-              static_cast<std::uint64_t>(detectMs));
-          throw RankFailure(from, detectMs,
-                            "rank " + std::to_string(from) + " fail-stop: " +
-                                what + " lease expired on tag " +
-                                std::to_string(tag));
-        }
-        if (attempt >= config_.commMaxAttempts &&
-            verdict == SimComm::PeerVerdict::kAlive)
-          throw;
-      } else if (attempt >= config_.commMaxAttempts) {
-        throw;
-      }
-      retryCounter.fetch_add(1, std::memory_order_relaxed);
-      comm.send(from, rank, tag, resend);
-    }
-  }
-}
-
 void ParallelEngine::foldChanges() {
   TKMC_SPAN("engine.fold");
   SimComm& comm = fabric_->comm;
   const auto ranks = static_cast<std::size_t>(rankCount());
   constexpr std::size_t kStride = 3 * sizeof(std::int32_t) + 1;
   // The fold is four bulk-synchronous phases, each expressed as one job
-  // per rank: serialize, transmit, collect, apply. The threaded backend
-  // dispatches each phase across the rank threads with a barrier in
-  // between; sequential mode drives the identical jobs in rank order,
-  // so both backends produce the same channel traffic and the same
-  // owner-side application order (inbound is indexed by source rank,
-  // not arrival order).
+  // per rank: serialize, transmit, collect, apply. The rank team runs
+  // each phase across the rank threads with a barrier in between, or
+  // inline in rank order; both produce the same channel traffic and the
+  // same owner-side application order (inbound is indexed by source
+  // rank, not arrival order).
   std::vector<std::vector<std::vector<std::uint8_t>>> outbound(
       ranks, std::vector<std::vector<std::uint8_t>>(ranks));
   std::vector<std::vector<std::vector<std::uint8_t>>> inbound(
@@ -594,9 +550,9 @@ void ParallelEngine::foldChanges() {
     if (!comm.rankAlive(rank)) return;
     const auto r = static_cast<std::size_t>(rank);
     for (std::size_t from = 0; from < ranks; ++from) {
-      inbound[r][from] =
-          receiveReliable(rank, static_cast<int>(from), kTagFold,
-                          outbound[from][r], foldRetries_, "fold");
+      inbound[r][from] = comm.receiveReliable(
+          rank, static_cast<int>(from), kTagFold, outbound[from][r],
+          config_.commMaxAttempts, foldRetries_, "fold");
       if (inbound[r][from].size() % kStride != 0)
         throw CommError("malformed fold payload from rank " +
                         std::to_string(from) + " to rank " +
@@ -627,17 +583,11 @@ void ParallelEngine::foldChanges() {
     pendingChanges_[r].clear();
   };
 
-  if (team_) {
-    team_->run(serialize);
-    team_->run(transmit);
-    team_->run(collect);
-    team_->run(apply);
-  } else {
-    for (std::size_t r = 0; r < ranks; ++r) serialize(static_cast<int>(r));
-    for (std::size_t r = 0; r < ranks; ++r) transmit(static_cast<int>(r));
-    for (std::size_t r = 0; r < ranks; ++r) collect(static_cast<int>(r));
-    for (std::size_t r = 0; r < ranks; ++r) apply(static_cast<int>(r));
-  }
+  RankTeam& team = fabric_->team;
+  team.run(serialize);
+  team.run(transmit);
+  team.run(collect);
+  team.run(apply);
 }
 
 ShardRecord ParallelEngine::makeShard(int rank) const {
@@ -672,8 +622,9 @@ void ParallelEngine::commitVoteBarrier(std::uint64_t epoch) {
   if (!comm.rankAlive(root)) return;
   for (int r = 0; r < rankCount(); ++r)
     if (r != root)
-      (void)receiveReliable(root, r, kTagVote, token, foldRetries_,
-                            "commit vote");
+      (void)comm.receiveReliable(root, r, kTagVote, token,
+                                 config_.commMaxAttempts, foldRetries_,
+                                 "commit vote");
 }
 
 void ParallelEngine::writeEpoch(bool barrier) {
@@ -805,8 +756,9 @@ void ParallelEngine::writeEpoch(bool barrier) {
         if (r != root) comm.send(root, r, kTagCommit, token);
       for (int r = 0; r < rankCount(); ++r)
         if (r != root && comm.rankAlive(r))
-          (void)receiveReliable(r, root, kTagCommit, token, foldRetries_,
-                                "commit ack");
+          (void)comm.receiveReliable(r, root, kTagCommit, token,
+                                     config_.commMaxAttempts, foldRetries_,
+                                     "commit ack");
     }
   } catch (...) {
     // Harmless after a successful commit (the staging directory is
@@ -831,22 +783,14 @@ void ParallelEngine::executeCycle() {
     std::fill(perType.begin(), perType.end(), 0);
   {
     TKMC_SPAN("engine.sectors");
-    if (team_) {
-      // One job per rank thread; sector geometry guarantees the
-      // concurrently active regions cannot interact, and each job
-      // touches only its rank's subdomain, RNG stream, and counters.
-      team_->run([&](int r) {
-        if (!fabric_->comm.rankAlive(r)) return;
-        TKMC_SPAN_TID("engine.sector", r);
-        runSector(r, sector);
-      });
-    } else {
-      for (int r = 0; r < rankCount(); ++r) {
-        if (!fabric_->comm.rankAlive(r)) continue;
-        TKMC_SPAN_TID("engine.sector", r);
-        runSector(r, sector);
-      }
-    }
+    // One job per rank; sector geometry guarantees the concurrently
+    // active regions cannot interact, and each job touches only its
+    // rank's subdomain, RNG stream, and counters.
+    fabric_->team.run([&](int r) {
+      if (!fabric_->comm.rankAlive(r)) return;
+      TKMC_SPAN_TID("engine.sector", r);
+      runSector(r, sector);
+    });
   }
   // Rank-order reduction: totals are independent of which thread
   // finished first, so threaded and sequential runs agree bit-for-bit.
@@ -857,7 +801,7 @@ void ParallelEngine::executeCycle() {
       eventsByType_[t] += cycleEventsByType_[r][t];
   }
   foldChanges();
-  fabric_->exchange.exchangeAll(domains_, team_.get());
+  fabric_->exchange.exchangeAll(domains_, &fabric_->team);
   time_ += config_.tStop;
   ++cycles_;
   if (store_ && config_.checkpointCadence > 0 &&

@@ -47,13 +47,14 @@ struct ParallelConfig {
   // produced it.
   EventCatalogSpec catalog;
 
-  // Execution backend. false: ranks are driven sequentially in-process
-  // (the historical runtime). true: one OS thread per rank (RankTeam)
-  // executes the sector windows, fold serialize/send/receive/apply, and
-  // per-axis ghost halves concurrently, with a barrier between phases.
-  // The bulk-synchronous schedule, per-rank RNG streams, and
-  // rank-ordered reductions make a fault-free threaded trajectory
-  // bit-identical to the sequential one for the same deck + seed.
+  // Execution backend. Every per-rank phase (sector windows, fold
+  // serialize/send/receive/apply, per-axis ghost halves) runs through the
+  // engine's RankTeam. false: an inline team drives the ranks in rank
+  // order on the caller's thread. true: one OS thread per rank runs each
+  // phase concurrently, with a barrier between phases. The
+  // bulk-synchronous schedule, per-rank RNG streams, and rank-ordered
+  // reductions make a fault-free threaded trajectory bit-identical to
+  // the inline one for the same deck + seed.
   bool threaded = false;
 
   // Fault tolerance. With recovery enabled the engine snapshots its
@@ -120,7 +121,8 @@ struct RecoveryStats {
   std::uint64_t invariantTrips = 0;  // invariant-monitor failures observed
   std::uint64_t commErrors = 0;      // comm failures that reached the engine
   std::uint64_t ghostRetries = 0;    // retransmissions inside GhostExchange
-  std::uint64_t foldRetries = 0;     // retransmissions in the fold phase
+  std::uint64_t foldRetries = 0;     // retransmissions of fold frames and
+                                     // of commit votes and acks
   std::uint64_t rankFailures = 0;    // fail-stops detected and survived
   std::uint64_t epochsRolledBack = 0; // cycles re-run due to shrink recovery
   std::uint64_t growRecoveries = 0;  // recoveries that re-admitted spare ranks
@@ -272,16 +274,19 @@ class ParallelEngine {
     DeltaBaseline baseline;
   };
 
-  /// The rebuildable communication fabric. Shrink recovery replaces the
-  /// whole bundle at once: GhostExchange holds references into its
-  /// sibling members, so the three live and die together.
+  /// The rebuildable communication fabric and the rank team that runs
+  /// every per-rank phase. Shrink recovery replaces the whole bundle at
+  /// once: GhostExchange holds references into its sibling members, and
+  /// the team's size tracks the rank count, so the four live and die
+  /// together.
   struct Fabric {
     Decomposition decomp;
     SimComm comm;
     GhostExchange exchange;
-    Fabric(Vec3i globalCells, Vec3i rankGrid)
+    RankTeam team;
+    Fabric(Vec3i globalCells, Vec3i rankGrid, bool threaded)
         : decomp(globalCells, rankGrid), comm(decomp.rankCount()),
-          exchange(decomp, comm) {}
+          exchange(decomp, comm), team(decomp.rankCount(), threaded) {}
   };
 
   /// Builds fabric + empty domains for config_.rankGrid, validates
@@ -315,12 +320,6 @@ class ParallelEngine {
   void afterCommit(std::uint64_t epoch);
   ShardRecord makeShard(int rank) const;
   void commitVoteBarrier(std::uint64_t epoch);
-  /// Lease-aware ARQ receive shared by fold and commit-barrier traffic.
-  /// The retry counter is atomic because fold receives of different
-  /// ranks run concurrently in the threaded backend.
-  std::vector<std::uint8_t> receiveReliable(
-      int rank, int from, int tag, const std::vector<std::uint8_t>& resend,
-      std::atomic<std::uint64_t>& retryCounter, const char* what);
   void recoverFromRankFailure(const RankFailure& failure);
   Vec3i localCell(int rank, Vec3i wrappedCoord) const;
   bool inSector(int rank, Vec3i wrappedCoord, int sector) const;
@@ -337,11 +336,9 @@ class ParallelEngine {
   std::vector<Subdomain> domains_;
   std::vector<Rng> rngs_;
   std::vector<std::vector<Change>> pendingChanges_;  // per rank, this cycle
-  // Rank threads (threaded backend only; null in sequential mode).
-  // Rebuilt with the fabric: the team size tracks the live rank count.
-  std::unique_ptr<RankTeam> team_;
   // Serializes propensity batches through backends whose evaluation is
-  // not safe to call from several rank threads at once.
+  // not safe to call from several rank threads at once (threaded team
+  // only).
   std::mutex modelMutex_;
   // Per-rank per-cycle counters, summed into events_/discarded_ in rank
   // order at the sync boundary — identical totals to the historical

@@ -6,8 +6,9 @@
 
 namespace tkmc {
 
-RankTeam::RankTeam(int ranks) {
+RankTeam::RankTeam(int ranks, bool threaded) : ranks_(ranks) {
   require(ranks > 0, "rank team needs at least one rank");
+  if (!threaded) return;
   errors_.resize(static_cast<std::size_t>(ranks));
   threads_.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r)
@@ -53,6 +54,10 @@ void RankTeam::workerLoop(int rank) {
 }
 
 void RankTeam::run(const std::function<void(int)>& job) {
+  if (!threaded()) {
+    for (int r = 0; r < ranks_; ++r) job(r);
+    return;
+  }
   {
     std::unique_lock<std::mutex> lock(mutex_);
     job_ = &job;

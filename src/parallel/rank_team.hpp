@@ -10,44 +10,48 @@
 
 namespace tkmc {
 
-/// Persistent pool of one OS thread per simulated rank.
+/// The one executor of every per-rank phase.
 ///
-/// The threaded execution backend keeps the engine's bulk-synchronous
-/// structure: the driver thread decomposes each cycle into phases
+/// The engine decomposes each cycle into bulk-synchronous phases
 /// (sector windows, fold serialize/send/receive/apply, per-axis ghost
-/// send/receive) and dispatches each phase to every rank's thread via
-/// run(). run() is a barrier — it returns only after every rank thread
-/// has finished the phase — so a phase never observes another phase's
-/// writes mid-flight, and the cross-phase data handoffs (outbound fold
-/// buffers, packed ghost slabs) are ordered by the pool's internal
-/// mutex without any per-payload synchronization.
+/// send/receive) and hands each to run(), which calls job(rank) for
+/// every rank and returns once all have finished. A team is either:
+///   - inline (threaded = false): no threads; job(0), ..., job(size()-1)
+///     run on the caller's thread in rank order — the in-process driver,
+///     whose order the goldens pin; or
+///   - threaded: one OS thread per rank, created once and parked between
+///     phases (condvar), so a cycle costs wake-ups, not spawns. run() is
+///     a barrier, so a phase never observes another phase's writes
+///     mid-flight, and the cross-phase handoffs (outbound fold buffers,
+///     packed ghost slabs) are ordered by the pool's mutex.
 ///
-/// Exceptions: a phase body that throws on rank r is captured; after
-/// the barrier, run() rethrows the *lowest-failing-rank* exception.
-/// The choice is deterministic (independent of thread scheduling), and
-/// it is safe to discard the other ranks' errors because every engine
-/// error path (CommError, InvariantError, RankFailure) rolls the whole
-/// cycle back to the last sync boundary anyway.
-///
-/// Threads are created once and parked between phases (condvar), so a
-/// cycle costs wakeups, not thread spawns. Destruction joins everyone.
+/// Exceptions: both surface the *lowest failing rank's* exception —
+/// inline, the first throw stops the phase; threaded, every throw is
+/// captured and the lowest rank's is rethrown after the barrier,
+/// independent of scheduling. Discarding the others is safe because
+/// every engine error path (CommError, InvariantError, RankFailure)
+/// rolls the whole cycle back to the last sync boundary anyway.
 class RankTeam {
  public:
-  explicit RankTeam(int ranks);
+  /// A threaded team: one OS thread per rank.
+  explicit RankTeam(int ranks) : RankTeam(ranks, /*threaded=*/true) {}
+  RankTeam(int ranks, bool threaded);
   ~RankTeam();
 
   RankTeam(const RankTeam&) = delete;
   RankTeam& operator=(const RankTeam&) = delete;
 
-  int size() const { return static_cast<int>(threads_.size()); }
+  int size() const { return ranks_; }
+  bool threaded() const { return !threads_.empty(); }
 
-  /// Runs job(rank) on every rank's thread and waits for all of them
-  /// (barrier). Rethrows the lowest rank's exception, if any.
+  /// Runs job(rank) for every rank and returns once all have finished.
+  /// Rethrows the lowest failing rank's exception, if any.
   void run(const std::function<void(int)>& job);
 
  private:
   void workerLoop(int rank);
 
+  int ranks_;
   std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;

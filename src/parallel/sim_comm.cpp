@@ -152,6 +152,48 @@ std::vector<std::uint8_t> SimComm::receive(int to, int from, int tag) {
   return receiveLocked(to, from, tag);
 }
 
+std::vector<std::uint8_t> SimComm::receiveReliable(
+    int to, int from, int tag, const std::vector<std::uint8_t>& resend,
+    int maxAttempts, std::atomic<std::uint64_t>& retries, const char* what,
+    const Accept& accept) {
+  const double waitStart = nowMs();
+  for (int attempt = 1;; ++attempt) {
+    try {
+      std::vector<std::uint8_t> payload = receive(to, from, tag);
+      if (accept) accept(payload);
+      return payload;
+    } catch (const CommError&) {
+      // Purge the failed channel so the retransmission gets a fresh
+      // sequence number.
+      resetChannel(from, to, tag);
+      if (leaseEnabled()) {
+        // A resend from a live sender renews its lease, so from the
+        // second attempt on a live peer polls kAlive and the normal
+        // attempt bound applies; only a truly silent peer keeps the
+        // receiver polling until its lease expires.
+        const PeerVerdict verdict = pollPeer(from, waitStart);
+        if (verdict == PeerVerdict::kFailed) {
+          const double detectMs = nowMs() - lastBeatMs(from);
+          tm::flightRecorder().record(
+              to, tm::BlackboxEventType::kLeaseExpired, tag,
+              static_cast<std::uint64_t>(from),
+              static_cast<std::uint64_t>(detectMs));
+          throw RankFailure(from, detectMs,
+                            "rank " + std::to_string(from) + " fail-stop: " +
+                                what + " lease expired on tag " +
+                                std::to_string(tag));
+        }
+        if (attempt >= maxAttempts && verdict == PeerVerdict::kAlive) throw;
+      } else if (attempt >= maxAttempts) {
+        throw;
+      }
+      retries.fetch_add(1, std::memory_order_relaxed);
+      tm::tracer().instant("comm.retry", to);
+      send(from, to, tag, resend);
+    }
+  }
+}
+
 bool SimComm::hasMessageLocked(const Key& key) const {
   const auto it = mailboxes_.find(key);
   if (it == mailboxes_.end() || it->second.empty()) return false;

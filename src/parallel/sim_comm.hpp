@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -40,9 +42,11 @@ namespace tkmc {
 /// send time; each probe passes the channel key (from, to, tag), so an
 /// injector in channel-stream mode fires independently per channel and
 /// a seeded chaos run reproduces identically regardless of thread
-/// interleaving. Retry protocols (GhostExchange, the engine's cycle
-/// rollback) call resetChannels()/resetAllChannels() before re-sending
-/// so stale frames and sequence state cannot leak across attempts.
+/// interleaving. Every retransmitting receive (fold, commit vote/ack,
+/// ghost slabs) goes through receiveReliable(), which purges the failed
+/// channel before re-sending; the engine's cycle rollback calls
+/// resetAllChannels(). Stale frames and sequence state therefore cannot
+/// leak across attempts.
 ///
 /// Fail-stop ranks: the fault point "comm.rank_kill" fires at send time
 /// and kills the *sending* rank before the frame leaves — modelling a
@@ -73,6 +77,28 @@ class SimComm {
   /// CommError when none is pending, when the frame fails its CRC
   /// check, or when a sequence gap shows an earlier message was lost.
   std::vector<std::uint8_t> receive(int to, int from, int tag);
+
+  /// Validates (and may apply) a received payload; throws CommError on a
+  /// malformed one, which receiveReliable() then retransmits.
+  using Accept = std::function<void(const std::vector<std::uint8_t>&)>;
+
+  /// Lease-aware ARQ receive of one (from -> to, tag) message, the one
+  /// retransmission path of the fold, commit vote/ack and ghost-slab
+  /// channels. When receive() or `accept` throws CommError, it purges
+  /// the channel, then:
+  ///   - with a lease armed, polls the sender: an expired lease throws
+  ///     RankFailure "rank <from> fail-stop: <what> lease expired on tag
+  ///     <tag>" (after a kLeaseExpired blackbox record), and a merely
+  ///     silent sender is polled again without the attempt bound;
+  ///   - rethrows the CommError after `maxAttempts` failures;
+  ///   - otherwise counts one retry in `retries` and re-sends `resend`,
+  ///     the copy the sender buffered at send time, on its behalf.
+  /// `retries` is atomic because receives of different ranks run
+  /// concurrently on a threaded team. Returns the accepted payload.
+  std::vector<std::uint8_t> receiveReliable(
+      int to, int from, int tag, const std::vector<std::uint8_t>& resend,
+      int maxAttempts, std::atomic<std::uint64_t>& retries, const char* what,
+      const Accept& accept = {});
 
   /// True when a matching (not yet delivered, non-duplicate) message is
   /// pending.

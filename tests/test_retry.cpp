@@ -81,8 +81,7 @@ TEST(Retry, GivesUpAfterExactlyTheAttemptBudget) {
   schedule.recordFailure();
   EXPECT_TRUE(schedule.exhausted());
 
-  // A one-shot policy gives up on the first failure — the ghost ARQ
-  // uses exactly this bound with zero delays.
+  // A one-shot policy gives up on the first failure, with zero delays.
   RetryPolicy oneShot = noJitter(1);
   oneShot.baseDelayMs = 0.0;
   oneShot.maxDelayMs = 0.0;

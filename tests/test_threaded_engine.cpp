@@ -76,6 +76,7 @@ RunResult runEngine(std::uint64_t worldSeed, const ParallelConfig& cfg,
 
 TEST(RankTeam, RunsOneJobPerRankAndBarriers) {
   RankTeam team(8);
+  EXPECT_TRUE(team.threaded());
   std::vector<int> hits(8, 0);
   for (int round = 0; round < 100; ++round)
     team.run([&](int r) { ++hits[static_cast<std::size_t>(r)]; });
@@ -100,6 +101,31 @@ TEST(RankTeam, RethrowsTheLowestFailingRanksException) {
   std::vector<int> hits(4, 0);
   team.run([&](int r) { ++hits[static_cast<std::size_t>(r)]; });
   for (int r = 0; r < 4; ++r) EXPECT_EQ(hits[static_cast<std::size_t>(r)], 1);
+}
+
+TEST(RankTeam, InlineTeamRunsOnTheCallersThreadInRankOrder) {
+  RankTeam team(4, /*threaded=*/false);
+  EXPECT_FALSE(team.threaded());
+  EXPECT_EQ(team.size(), 4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  team.run([&](int r) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(r);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  // The first throw stops the phase: ranks after it never run.
+  order.clear();
+  try {
+    team.run([&](int r) {
+      order.push_back(r);
+      if (r >= 1) throw CommError("rank " + std::to_string(r) + " failed");
+    });
+    FAIL() << "expected a CommError";
+  } catch (const CommError& e) {
+    EXPECT_STREQ(e.what(), "rank 1 failed");
+  }
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
 // --- Threaded backend determinism --------------------------------------
@@ -188,6 +214,77 @@ TEST(ThreadedEngine, KeyedDropFaultsReproduceAcrossRuns) {
   EXPECT_EQ(firstRetries, secondRetries);
   EXPECT_GT(firstDrops, 0u) << "deck too small to exercise the drop point";
   EXPECT_EQ(firstRetries, firstDrops) << "every drop should be absorbed by ARQ";
+}
+
+// --- Fold and commit-vote ARQ ------------------------------------------
+
+TEST(EngineArq, FoldAndVoteDropsAreAbsorbedWithoutRollback) {
+  // Fold (tag 50) and commit-vote (tag 60) receives resend a lost frame
+  // from the sender's buffered copy. Dropping frames on one fold and one
+  // vote channel only must cost exactly one counted retry per drop, no
+  // rollback, and leave the trajectory of the fault-free run.
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "in-process");
+    const auto run = [&](bool faulted, RecoveryStats& stats,
+                         std::uint64_t& drops) {
+      ParallelWorld w(53);
+      EamEnergyModel model(w.cet, w.net, w.eam);
+      ParallelConfig cfg = basicConfig(63, {2, 2, 1}, threaded);
+      cfg.checkpointDir = tempDir("tkmc_engine_arq");
+      FaultInjector inj(5);
+      inj.setChannelStreams(true);
+      if (faulted) {
+        inj.armChannelSchedule("comm.drop", SimComm::channelKey(1, 0, 50),
+                               {2, 4});
+        inj.armChannelSchedule("comm.drop", SimComm::channelKey(3, 0, 60),
+                               {3});
+      }
+      FaultScope scope(inj);
+      ParallelEngine engine(w.state, model, w.cet, cfg);
+      for (int c = 0; c < 6; ++c) engine.runCycle();
+      EXPECT_TRUE(engine.ghostsConsistent());
+      stats = engine.recoveryStats();
+      drops = inj.fireCount("comm.drop");
+      return engine.assembleGlobalState().contentHash();
+    };
+    RecoveryStats clean, faulted;
+    std::uint64_t cleanDrops = 0, drops = 0;
+    const std::uint32_t cleanHash = run(false, clean, cleanDrops);
+    const std::uint32_t hash = run(true, faulted, drops);
+    EXPECT_EQ(cleanDrops, 0u);
+    EXPECT_EQ(clean.foldRetries, 0u);
+    EXPECT_EQ(drops, 3u);
+    EXPECT_EQ(faulted.foldRetries, drops);
+    EXPECT_EQ(faulted.ghostRetries, 0u);
+    EXPECT_EQ(faulted.rollbacks, 0u);
+    EXPECT_EQ(faulted.commErrors, 0u);
+    EXPECT_EQ(hash, cleanHash);
+  }
+}
+
+TEST(EngineArq, SilentFoldPeerFailsStopWithTheFoldLeaseText) {
+  // A rank that dies between cycles leaves its fold channels silent. With
+  // the lease armed and no checkpoint to recover from, the fold receive
+  // names the dead rank and the fold channel.
+  for (const bool threaded : {false, true}) {
+    SCOPED_TRACE(threaded ? "threaded" : "in-process");
+    ParallelWorld w(53);
+    EamEnergyModel model(w.cet, w.net, w.eam);
+    ParallelConfig cfg = basicConfig(63, {2, 2, 1}, threaded);
+    cfg.heartbeatIntervalMs = 5.0;
+    cfg.heartbeatTimeoutMs = 20.0;
+    ParallelEngine engine(w.state, model, w.cet, cfg);
+    engine.runCycle();
+    engine.mutableComm().killRank(2);
+    try {
+      engine.runCycle();
+      FAIL() << "expected a RankFailure";
+    } catch (const RankFailure& failure) {
+      EXPECT_EQ(failure.rank(), 2);
+      EXPECT_STREQ(failure.what(),
+                   "rank 2 fail-stop: fold lease expired on tag 50");
+    }
+  }
 }
 
 // --- Threaded fail-stop chaos soak -------------------------------------
@@ -327,6 +424,20 @@ TEST(FaultInjectorChannelStreams, ScheduleOrdinalsCountPerKey) {
     EXPECT_FALSE(inj.shouldFire("comm.corrupt", key));
   }
   EXPECT_EQ(inj.fireCount("comm.corrupt"), 2u);
+}
+
+TEST(FaultInjectorChannelStreams, ChannelScheduleFiresOnOneKeyOnly) {
+  FaultInjector inj(3);
+  inj.setChannelStreams(true);
+  inj.armChannelSchedule("comm.drop", 11, {2, 3});
+  std::vector<int> fired11, fired22;
+  for (int i = 1; i <= 4; ++i) {
+    if (inj.shouldFire("comm.drop", 11)) fired11.push_back(i);
+    if (inj.shouldFire("comm.drop", 22)) fired22.push_back(i);
+  }
+  EXPECT_EQ(fired11, (std::vector<int>{2, 3}));
+  EXPECT_TRUE(fired22.empty());
+  EXPECT_EQ(inj.fireCount("comm.drop"), 2u);
 }
 
 // --- Singleton hammers (TSan targets) -----------------------------------
