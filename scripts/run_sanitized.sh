@@ -6,9 +6,10 @@
 # register-blocked kernel tests, CPE operators and network forward alike
 # (blocked loops with ragged tails are where out-of-bounds reads hide),
 # plus every TET energy backend and the EAM event catalog (the site
-# kernels write the hop-local row layout the reduction indexes), and the
+# kernels write the hop-local row layout the reduction indexes), the
 # energy and force trainers (a training step runs the same kernel over
-# transposed gradients with per-sample atom counts).
+# transposed gradients with per-sample atom counts), and the vacancy
+# cache (each rank's cache is patched from hops, folds and ghost slabs).
 #
 # The sanitizer set comes from TKMC_SANITIZE (semicolon-separated, the
 # same list CMake consumes) and defaults to ASan+UBSan. Each flavor gets
@@ -24,7 +25,7 @@ cd "$(dirname "$0")/.."
 SANITIZERS=${TKMC_SANITIZE:-"address;undefined"}
 FLAVOR=$(echo "$SANITIZERS" | tr ';,' '--')
 BUILD_DIR=${BUILD_DIR:-build-sanitized/$FLAVOR}
-FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|network|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline|nnp_energy_model|bond_counting|eam|event_catalog|tet_energy_model|trainer|force_trainer"}
+FILTER=${1:-"fault_injection|checkpoint|remote_store|decoder_sweep|sim_comm|ghost_exchange|parallel_engine|rank_failure|threaded_engine|network|conv_stack|bigfusion|feature_operator|sunway|batch_pipeline|nnp_energy_model|bond_counting|eam|event_catalog|tet_energy_model|trainer|force_trainer|vacancy_cache"}
 
 echo "==> sanitized build: TKMC_SANITIZE=$SANITIZERS ($BUILD_DIR)"
 cmake -B "$BUILD_DIR" -S . \

@@ -1,147 +1,46 @@
 #include "kmc/serial_engine.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
 #include "common/telemetry/telemetry.hpp"
 
 namespace tkmc {
 
-namespace {
-
-// TKMC_SPAN stores the name pointer, so span names must be static. The
-// per-type refresh spans draw from this fixed table (types beyond the
-// table share the last slot; shipped catalogs have at most two types).
-const char* refreshSpanName(int type) {
-  static const char* const kNames[] = {
-      "kmc.refresh.type0", "kmc.refresh.type1", "kmc.refresh.type2",
-      "kmc.refresh.type3plus"};
-  return kNames[type < 3 ? type : 3];
-}
-
-}  // namespace
-
 SerialEngine::SerialEngine(LatticeState& state, EnergyModel& model,
                            const Cet& cet, KmcConfig config,
                            const EventCatalog* catalog)
-    : state_(state), model_(model), cet_(cet), config_(config),
+    : state_(state), model_(model), config_(config),
       catalog_(catalog ? catalog : &defaultEventCatalog()),
-      rng_(config.seed), cache_(cet, state.lattice()) {
+      rng_(config.seed), cache_(cet, state.lattice(), catalog_) {
   require(!state.vacancies().empty(),
           "AKMC needs at least one vacancy to evolve");
   require(catalog_->typeCount() >= 1,
           "event catalog must define at least one event type");
   telemetry::flightRecorder().configureRanks(1);
-  cache_.setCatalog(catalog_);
   if (config_.useVacancyCache) {
     require(model.supportsVet(),
             "vacancy cache requires a VET-capable energy backend");
   }
-  const int n = static_cast<int>(state.vacancies().size());
-  resizePropensities(n);
+  tree_.resizeForest(catalog_->typeCount(),
+                     static_cast<int>(state.vacancies().size()));
   eventsByType_.assign(static_cast<std::size_t>(catalog_->typeCount()), 0);
   eventTypeMetricNames_.clear();
   for (int t = 0; t < catalog_->typeCount(); ++t)
     eventTypeMetricNames_.push_back(std::string("kmc.events.by_type.") +
                                     catalog_->typeInfo(t).name);
-  if (config_.useVacancyCache) {
-    cache_.rebuild(state);
-  } else {
-    dirtyNoCache_.assign(static_cast<std::size_t>(n), true);
-  }
-}
-
-void SerialEngine::resizePropensities(int vacancies) {
-  const int types = catalog_->typeCount();
-  rates_.assign(static_cast<std::size_t>(types),
-                std::vector<JumpRates>(static_cast<std::size_t>(vacancies)));
-  tree_.resizeForest(types, vacancies);
-}
-
-const JumpRates& SerialEngine::evaluateInto(int type, int v, int siteClass,
-                                            const Vet& vet,
-                                            const std::vector<double>& energies) {
-  JumpRates& slot =
-      rates_[static_cast<std::size_t>(type)][static_cast<std::size_t>(v)];
-  if (!catalog_->typeApplies(type, siteClass)) {
-    slot = JumpRates{};
-    return slot;
-  }
-  slot = catalog_->evaluateChecked(type, vet, energies, config_.temperature);
-  if (!std::isfinite(slot.total) || slot.total < 0.0) {
-    telemetry::flightRecorder().record(
-        0, telemetry::BlackboxEventType::kInvariantTrip, 0, steps_,
-        static_cast<std::uint64_t>(type));
-    throw InvariantError(
-        std::string("non-finite or negative propensity from event type '") +
-        catalog_->typeInfo(type).name + "' of catalog '" + catalog_->name() +
-        "' at vacancy " + std::to_string(v) + " (total " +
-        std::to_string(slot.total) + ")");
-  }
-  return slot;
+  cache_.rebuild(state);
 }
 
 void SerialEngine::refreshDirty() {
-  const int n = static_cast<int>(state_.vacancies().size());
-  const int types = catalog_->typeCount();
-  if (config_.useVacancyCache) {
-    // Collect every dirty system first, then evaluate them all in one
-    // backend dispatch so an accelerator backend amortizes kernel
-    // launches and weight movement over the batch. Index order is
-    // ascending, matching the old per-system loop, and the batch API
-    // guarantees bit-identical energies, so trajectories are unchanged.
-    // Every shipped event type is hop-shaped over the same environment,
-    // so one state-energy batch serves all per-type evaluations.
-    dirtyScratch_.clear();
-    vetScratch_.clear();
-    for (int v = 0; v < n; ++v) {
-      if (!cache_.isDirty(v)) continue;
-      dirtyScratch_.push_back(v);
-      vetScratch_.push_back(&cache_.vet(v));
-    }
-    if (dirtyScratch_.empty()) return;
-    const auto energies =
-        model_.stateEnergiesBatch(vetScratch_, kNumJumpDirections);
-    for (std::size_t i = 0; i < dirtyScratch_.size(); ++i) {
-      cache_.clearDirty(dirtyScratch_[i]);
-      ++energyEvals_;
-    }
-    for (int t = 0; t < types; ++t) {
-      TKMC_SPAN(refreshSpanName(t));
-      for (std::size_t i = 0; i < dirtyScratch_.size(); ++i) {
-        const int v = dirtyScratch_[i];
-        const JumpRates& jr = evaluateInto(t, v, cache_.siteClass(v),
-                                           cache_.vet(v), energies[i]);
-        tree_.updateTyped(t, v, jr.total);
-      }
-    }
-    if (telemetry::enabled())
-      telemetry::metrics()
-          .histogram("kmc.batch_size",
-                     telemetry::Histogram::batchSizeBounds())
-          .observe(static_cast<double>(dirtyScratch_.size()));
-    telemetry::flightRecorder().record(
-        0, telemetry::BlackboxEventType::kPropensityRefresh, 0,
-        dirtyScratch_.size());
-    return;
-  }
-  for (int v = 0; v < n; ++v) {
-    if (!dirtyNoCache_[static_cast<std::size_t>(v)]) continue;
-    const Vec3i center = state_.lattice().wrap(state_.vacancies()[static_cast<std::size_t>(v)]);
-    const std::vector<double> energies =
-        model_.stateEnergies(state_, center, kNumJumpDirections);
-    // Rates need the migrating species per direction; build a one-shot
-    // VET view for that lookup (geometry only, species from lattice).
-    Vet vet = Vet::gather(cet_, state_, center);
-    const int siteClass = catalog_->siteClass(state_.lattice(), center);
-    for (int t = 0; t < types; ++t) {
-      const JumpRates& jr = evaluateInto(t, v, siteClass, vet, energies);
-      tree_.updateTyped(t, v, jr.total);
-    }
-    dirtyNoCache_[static_cast<std::size_t>(v)] = false;
-    ++energyEvals_;
-  }
+  // One backend dispatch over every dirty system, in ascending index
+  // order. Without the cache every system is dirty each step and its
+  // energies come from the lattice, not from its cached VET.
+  const std::vector<int>& refreshed =
+      cache_.refresh(model_, config_.temperature, nullptr, {0, 0, steps_},
+                     config_.useVacancyCache ? nullptr : &state_);
+  energyEvals_ += refreshed.size();
+  for (int t = 0; t < catalog_->typeCount(); ++t)
+    for (const int v : refreshed) tree_.updateTyped(t, v, cache_.rates(v, t).total);
 }
 
 SerialEngine::StepResult SerialEngine::step() {
@@ -165,8 +64,7 @@ SerialEngine::StepResult SerialEngine::step() {
                                         ? tree_.selectTyped(u1 * total)
                                         : tree_.selectLinearTyped(u1 * total);
   const int v = pick.index;
-  const JumpRates& jr =
-      rates_[static_cast<std::size_t>(pick.type)][static_cast<std::size_t>(v)];
+  const JumpRates& jr = cache_.rates(v, pick.type);
   const int arity = catalog_->typeInfo(pick.type).arity;
   const double u2 = rng_.uniform();
   double target = u2 * jr.total;
@@ -186,13 +84,10 @@ SerialEngine::StepResult SerialEngine::step() {
       from + catalog_->candidateOffset(pick.type, direction));
   state_.hopVacancy(from, to);
 
-  if (config_.useVacancyCache) {
+  if (config_.useVacancyCache)
     cache_.applyHop(state_, v, from, to);
-  } else {
-    // Everything within interaction range of the changed sites is stale;
-    // without the cache we simply refresh all vacancies next step.
-    std::fill(dirtyNoCache_.begin(), dirtyNoCache_.end(), true);
-  }
+  else
+    cache_.rebuild(state_);  // no cache: every system is re-gathered
 
   time_ += dt;
   ++steps_;
@@ -219,13 +114,9 @@ void SerialEngine::restore(const Checkpoint& cp) {
   rng_.setState(cp.rngState);
   // Propensities and the vacancy cache derive from the (restored)
   // lattice; rebuild them from scratch.
-  const int n = static_cast<int>(state_.vacancies().size());
-  resizePropensities(n);
-  if (config_.useVacancyCache) {
-    cache_.rebuild(state_);
-  } else {
-    dirtyNoCache_.assign(static_cast<std::size_t>(n), true);
-  }
+  tree_.resizeForest(catalog_->typeCount(),
+                     static_cast<int>(state_.vacancies().size()));
+  cache_.rebuild(state_);
 }
 
 std::uint64_t SerialEngine::run() {

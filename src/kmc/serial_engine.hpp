@@ -107,27 +107,13 @@ class SerialEngine {
 
  private:
   void refreshDirty();
-  void resizePropensities(int vacancies);
-  /// Evaluates one (type, vacancy) propensity row — zero when the type
-  /// does not apply to the site's class — and rejects non-finite or
-  /// negative totals with a typed InvariantError (flight-recorder
-  /// breadcrumb included), so a poisoned rate cannot silently corrupt
-  /// the trajectory.
-  const JumpRates& evaluateInto(int type, int v, int siteClass,
-                                const Vet& vet,
-                                const std::vector<double>& energies);
 
   LatticeState& state_;
   EnergyModel& model_;
-  const Cet& cet_;
   KmcConfig config_;
   const EventCatalog* catalog_;
   Rng rng_;
   VacancyCache cache_;
-  std::vector<std::vector<JumpRates>> rates_;  // [event type][vacancy]
-  std::vector<bool> dirtyNoCache_;  // refresh flags when cache disabled
-  std::vector<int> dirtyScratch_;   // dirty indices of one batched refresh
-  std::vector<Vet*> vetScratch_;    // their cached VETs, same order
   PropensityTree tree_;
   double time_ = 0.0;
   std::uint64_t steps_ = 0;

@@ -16,15 +16,23 @@ std::vector<double> Descriptor::compute(const Structure& s) const {
   const std::size_t n = s.size();
   const int d = dim();
   std::vector<double> features(n * static_cast<std::size_t>(d), 0.0);
+  // Each unordered pair is evaluated once and added to both atoms. Every
+  // atom still sums its partners in ascending order, and minimum-image r
+  // is symmetric bit for bit, so the features equal a per-atom loop's.
   for (std::size_t i = 0; i < n; ++i) {
-    double* f = features.data() + i * static_cast<std::size_t>(d);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
+    double* fi = features.data() + i * static_cast<std::size_t>(d);
+    const int blockI = static_cast<int>(s.species[i]) * numPq();
+    for (std::size_t j = i + 1; j < n; ++j) {
       const double r = s.displacement(i, j).norm();
       if (r >= cutoff_) continue;
-      const int block = static_cast<int>(s.species[j]) * numPq();
-      for (int k = 0; k < numPq(); ++k)
-        f[block + k] += FeatureTable::term(r, pq_[static_cast<std::size_t>(k)]);
+      double* fj = features.data() + j * static_cast<std::size_t>(d);
+      const int blockJ = static_cast<int>(s.species[j]) * numPq();
+      for (int k = 0; k < numPq(); ++k) {
+        const double term =
+            FeatureTable::term(r, pq_[static_cast<std::size_t>(k)]);
+        fi[blockJ + k] += term;
+        fj[blockI + k] += term;
+      }
     }
   }
   return features;

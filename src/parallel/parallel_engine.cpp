@@ -23,22 +23,6 @@ constexpr const char* kCycleSpanName[8] = {
     "engine.cycle.s3", "engine.cycle.s4", "engine.cycle.s5",
     "engine.cycle.s6", "engine.cycle.s7"};
 
-Vet gatherVet(const Cet& cet, const Subdomain& sd, Vec3i center) {
-  Vet vet(cet.nAll());
-  for (int id = 0; id < cet.nAll(); ++id)
-    vet.set(id, sd.at(center + cet.site(id)));
-  return vet;
-}
-
-// Largest coordinate component over the CET's sites (doubled units):
-// the reach of a vacancy system along any axis.
-int cetReach(const Cet& cet) {
-  int reach = 0;
-  for (const Vec3i& s : cet.sites())
-    reach = std::max({reach, std::abs(s.x), std::abs(s.y), std::abs(s.z)});
-  return reach;
-}
-
 int wrapMod(int v, int n) {
   int r = v % n;
   if (r < 0) r += n;
@@ -48,7 +32,7 @@ int wrapMod(int v, int n) {
 }  // namespace
 
 int requiredGhostCells(const Cet& cet) {
-  return (cetReach(cet) + 1) / 2;  // doubled units -> unit cells, rounded up
+  return (cet.reach() + 1) / 2;  // doubled units -> unit cells, rounded up
 }
 
 std::uint64_t recoverySeed(std::uint64_t seed, std::uint64_t epoch,
@@ -70,8 +54,7 @@ std::uint64_t recoverySeed(std::uint64_t seed, std::uint64_t epoch,
 ParallelEngine::ParallelEngine(const LatticeState& initial, EnergyModel& model,
                                const Cet& cet, ParallelConfig config)
     : lattice_(initial.lattice()), cet_(cet), model_(model),
-      config_(std::move(config)), catalog_(makeEventCatalog(config_.catalog)),
-      interactionRadius_(0.0) {
+      config_(std::move(config)), catalog_(makeEventCatalog(config_.catalog)) {
   sparePool_ = config_.spareRanks;
   buildFabric(initial);
   Rng master(config_.seed);
@@ -89,8 +72,7 @@ ParallelEngine::ParallelEngine(EnergyModel& model, const Cet& cet,
                                const CheckpointStore& store,
                                std::uint64_t epoch)
     : lattice_(1, 1, 1, 1.0), cet_(cet), model_(model),
-      config_(std::move(config)), catalog_(makeEventCatalog(config_.catalog)),
-      interactionRadius_(0.0) {
+      config_(std::move(config)), catalog_(makeEventCatalog(config_.catalog)) {
   sparePool_ = config_.spareRanks;
   const EpochManifest manifest = store.loadManifest(epoch);
   require(manifest.tStop == config_.tStop,
@@ -148,8 +130,8 @@ void ParallelEngine::adoptEpoch(const EpochManifest& manifest,
       require(shard.rank >= 0 && shard.rank < rankCount(),
               "shard rank outside the manifest grid");
       rngs_[static_cast<std::size_t>(shard.rank)].setState(shard.rngState);
-      domains_[static_cast<std::size_t>(shard.rank)].vacancies() =
-          shard.vacancyOrder;
+      domains_[static_cast<std::size_t>(shard.rank)].setVacancyOrder(
+          shard.vacancyOrder);
     }
   } else {
     // A different grid: the streams are reseeded by a pure function of
@@ -196,7 +178,7 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
   fabric_ = std::make_unique<Fabric>(
       Vec3i{lattice_.cellsX(), lattice_.cellsY(), lattice_.cellsZ()},
       config_.rankGrid, config_.threaded);
-  const int reach = cetReach(cet_);
+  const int reach = cet_.reach();
   const int ghost = (reach + 1) / 2;
   const Vec3i extent = fabric_->decomp.extentCells();
   require(extent.x % 2 == 0 && extent.y % 2 == 0 && extent.z % 2 == 0,
@@ -221,6 +203,7 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
   for (int r = 0; r < rankCount(); ++r) {
     domains_.emplace_back(lattice_, fabric_->decomp.originCells(r), extent,
                           ghostVec);
+    domains_.back().attachCache(cet_, *catalog_);
     domains_.back().loadFrom(initial);
   }
   pendingChanges_.assign(static_cast<std::size_t>(rankCount()), {});
@@ -238,8 +221,6 @@ void ParallelEngine::buildFabric(const LatticeState& initial) {
   for (int t = 0; t < catalog_->typeCount(); ++t)
     eventTypeMetricNames_.push_back(std::string("engine.events.by_type.") +
                                     catalog_->typeInfo(t).name);
-  // Rates become stale within the vacancy-system radius of a changed site.
-  interactionRadius_ = (reach + 2) * lattice_.latticeConstant() / 2.0;
   expectedVacancies_ = vacancyCount();
   fabric_->exchange.setMaxAttempts(config_.commMaxAttempts);
   if (config_.heartbeatTimeoutMs > 0.0)
@@ -270,117 +251,42 @@ bool ParallelEngine::inSector(int rank, Vec3i p, int sector) const {
 
 void ParallelEngine::runSector(int rank, int sector) {
   Subdomain& sd = domains_[static_cast<std::size_t>(rank)];
+  VacancyCache& cache = sd.cache();
   Rng& rng = rngs_[static_cast<std::size_t>(rank)];
   auto& changes = pendingChanges_[static_cast<std::size_t>(rank)];
   const int types = catalog_->typeCount();
 
-  // Per-(event type, vacancy) rates, refreshed lazily via stale flags.
-  // Site classes are a pure function of the wrapped center, cached here
-  // and refreshed only when a vacancy moves. A class covered by no type
-  // (e.g. the trap_detrap sink slab) contributes zero propensity and is
-  // excluded from refresh batches entirely.
-  const auto vacancyCountNow = sd.vacancies().size();
-  std::vector<std::vector<JumpRates>> rates(
-      static_cast<std::size_t>(types), std::vector<JumpRates>(vacancyCountNow));
-  std::vector<bool> stale(vacancyCountNow, true);
-  std::vector<bool> active(vacancyCountNow);
-  std::vector<int> siteClass(vacancyCountNow);
-  const auto anyTypeApplies = [&](int cls) {
-    for (int t = 0; t < types; ++t)
-      if (catalog_->typeApplies(t, cls)) return true;
-    return false;
-  };
-  for (std::size_t v = 0; v < vacancyCountNow; ++v) {
-    active[v] = inSector(rank, sd.vacancies()[v], sector);
-    siteClass[v] = catalog_->siteClass(lattice_, lattice_.wrap(sd.vacancies()[v]));
-  }
-
-  // Batched-refresh scratch, reused across the window's iterations.
-  std::vector<std::size_t> staleIdx;
-  std::vector<Vet> staleVets;
-  std::vector<Vet*> staleVetPtrs;
+  // The rank's cache keeps every vacancy's rates across windows and
+  // cycles; only an entry whose VET changed since its last evaluation is
+  // dirty. A window needs just its sector membership.
+  std::vector<bool> active(static_cast<std::size_t>(cache.size()));
+  for (int v = 0; v < cache.size(); ++v)
+    active[static_cast<std::size_t>(v)] = inSector(rank, cache.center(v), sector);
 
   double tLocal = 0.0;
   while (true) {
-    // Collect every stale active system, then refresh them in a single
-    // backend dispatch. Gather order is ascending v, the same order the
-    // old per-system loop used, and batched energies are bit-identical,
-    // so the RNG stream is consumed onto the same events. One
-    // state-energy batch serves every event type (all shipped types are
-    // hop-shaped over the same environment).
-    staleIdx.clear();
-    staleVets.clear();
-    staleVetPtrs.clear();
-    for (std::size_t v = 0; v < sd.vacancies().size(); ++v) {
-      if (!active[v] || !stale[v]) continue;
-      if (!anyTypeApplies(siteClass[v])) {
-        // Absorbing class: zero every type's row without an energy eval.
-        for (int t = 0; t < types; ++t)
-          rates[static_cast<std::size_t>(t)][v] = JumpRates{};
-        stale[v] = false;
-        continue;
-      }
-      staleIdx.push_back(v);
-      staleVets.push_back(gatherVet(cet_, sd, sd.vacancies()[v]));
-    }
-    if (!staleIdx.empty()) {
-      staleVetPtrs.reserve(staleVets.size());
-      for (Vet& vet : staleVets) staleVetPtrs.push_back(&vet);
+    // Refresh every dirty active system in one backend dispatch, in
+    // ascending index order. Rates are pure functions of the VET, so a
+    // clean entry holds exactly what a re-evaluation would produce, and
+    // the RNG stream is consumed onto the same events.
+    {
       // Rank threads share one backend instance; backends with mutable
       // scratch are serialized (energies are pure functions of the VETs,
       // so serialization cannot change the trajectory).
-      const std::vector<std::vector<double>> energies = [&] {
-        std::unique_lock<std::mutex> lock(modelMutex_, std::defer_lock);
-        if (fabric_->team.threaded() && !model_.concurrentDispatchSafe())
-          lock.lock();
-        return model_.stateEnergiesBatch(staleVetPtrs, kNumJumpDirections);
-      }();
-      for (std::size_t i = 0; i < staleIdx.size(); ++i) {
-        const std::size_t v = staleIdx[i];
-        for (int t = 0; t < types; ++t) {
-          JumpRates& slot = rates[static_cast<std::size_t>(t)][v];
-          if (!catalog_->typeApplies(t, siteClass[v])) {
-            slot = JumpRates{};
-            continue;
-          }
-          slot = catalog_->evaluateChecked(t, staleVets[i], energies[i],
-                                           config_.temperature);
-          if (!std::isfinite(slot.total) || slot.total < 0.0) {
-            telemetry::flightRecorder().record(
-                rank, telemetry::BlackboxEventType::kInvariantTrip, sector,
-                cycles_, static_cast<std::uint64_t>(t));
-            telemetry::flightRecorder().dumpIncident("propensity_poisoned");
-            throw InvariantError(
-                std::string(
-                    "non-finite or negative propensity from event type '") +
-                catalog_->typeInfo(t).name + "' of catalog '" +
-                catalog_->name() + "' on rank " + std::to_string(rank) +
-                " (total " + std::to_string(slot.total) + ")");
-          }
-        }
-        stale[v] = false;
-      }
-      if (telemetry::enabled())
-        telemetry::metrics()
-            .histogram("engine.batch_size",
-                       telemetry::Histogram::batchSizeBounds())
-            .observe(static_cast<double>(staleIdx.size()));
-      telemetry::flightRecorder().record(
-          rank, telemetry::BlackboxEventType::kPropensityRefresh, sector,
-          staleIdx.size());
+      std::unique_lock<std::mutex> lock(modelMutex_, std::defer_lock);
+      if (fabric_->team.threaded() && !model_.concurrentDispatchSafe())
+        lock.lock();
+      cache.refresh(model_, config_.temperature, &active,
+                    {rank, sector, cycles_, "engine.batch_size"});
     }
     // Total and selection scan share the same type-major summation
     // order, so the chosen event is exactly the one the cumulative sum
     // crossed; with one type both degenerate to the historical site
     // scan bit-for-bit.
     double total = 0.0;
-    for (int t = 0; t < types; ++t) {
-      const auto& typeRates = rates[static_cast<std::size_t>(t)];
-      for (std::size_t v = 0; v < sd.vacancies().size(); ++v) {
-        if (!active[v]) continue;
-        total += typeRates[v].total;
-      }
-    }
+    for (int t = 0; t < types; ++t)
+      for (int v = 0; v < cache.size(); ++v)
+        if (active[static_cast<std::size_t>(v)]) total += cache.rates(v, t).total;
     if (!std::isfinite(total) || total < 0.0)
       throw InvariantError("propensity sum insane in sector window: " +
                            std::to_string(total));
@@ -389,15 +295,14 @@ void ParallelEngine::runSector(int rank, int sector) {
     const double u1 = rng.uniform();
     double target = u1 * total;
     int chosenType = 0;
-    std::size_t chosen = 0;
+    int chosen = 0;
     bool found = false;
     for (int t = 0; t < types && !found; ++t) {
-      const auto& typeRates = rates[static_cast<std::size_t>(t)];
-      for (std::size_t v = 0; v < sd.vacancies().size(); ++v) {
-        if (!active[v]) continue;
+      for (int v = 0; v < cache.size(); ++v) {
+        if (!active[static_cast<std::size_t>(v)]) continue;
         chosenType = t;
         chosen = v;
-        target -= typeRates[v].total;
+        target -= cache.rates(v, t).total;
         if (target < 0.0) {
           found = true;
           break;
@@ -411,9 +316,10 @@ void ParallelEngine::runSector(int rank, int sector) {
       // zero-rate tail slot — e.g. an inapplicable (type, site) pair —
       // can never be executed.
       for (int t = types - 1; t >= 0 && !found; --t) {
-        const auto& typeRates = rates[static_cast<std::size_t>(t)];
-        for (std::size_t v = sd.vacancies().size(); v-- > 0;) {
-          if (!active[v] || typeRates[v].total <= 0.0) continue;
+        for (int v = cache.size(); v-- > 0;) {
+          if (!active[static_cast<std::size_t>(v)] ||
+              cache.rates(v, t).total <= 0.0)
+            continue;
           chosenType = t;
           chosen = v;
           found = true;
@@ -423,7 +329,7 @@ void ParallelEngine::runSector(int rank, int sector) {
       require(found, "no feasible event despite positive propensity");
     }
 
-    const JumpRates& jr = rates[static_cast<std::size_t>(chosenType)][chosen];
+    const JumpRates& jr = cache.rates(chosen, chosenType);
     const int arity = catalog_->typeInfo(chosenType).arity;
     const double u2 = rng.uniform();
     double dirTarget = u2 * jr.total;
@@ -443,15 +349,18 @@ void ParallelEngine::runSector(int rank, int sector) {
     }
     tLocal += dt;
 
-    const Vec3i from = lattice_.wrap(sd.vacancies()[chosen]);
+    const Vec3i from = cache.center(chosen);
     const Vec3i to =
         lattice_.wrap(from + catalog_->candidateOffset(chosenType, direction));
-    const Species migrating = sd.at(to);
-    require(migrating != Species::kVacancy, "parallel hop into a vacancy");
-    sd.set(from, migrating);
-    sd.set(to, Species::kVacancy);
+    // The subdomain moves the vacancy's list and cache entries with it
+    // and patches every other cached system the two writes touch.
+    const Species migrating = sd.hopVacancy(chosen, to);
     changes.push_back({from, migrating});
     changes.push_back({to, Species::kVacancy});
+    if (sd.owns(to))
+      active[static_cast<std::size_t>(chosen)] = inSector(rank, to, sector);
+    else
+      active.erase(active.begin() + chosen);
     ++cycleEvents_[static_cast<std::size_t>(rank)];
     ++cycleEventsByType_[static_cast<std::size_t>(rank)]
                         [static_cast<std::size_t>(chosenType)];
@@ -462,37 +371,6 @@ void ParallelEngine::runSector(int rank, int sector) {
     telemetry::flightRecorder().record(
         rank, telemetry::BlackboxEventType::kKmcEvent, sector, ordinal,
         static_cast<std::uint64_t>(direction));
-
-    // Vacancy list maintenance.
-    if (sd.owns(to)) {
-      sd.vacancies()[chosen] = to;
-      active[chosen] = inSector(rank, to, sector);
-      siteClass[chosen] = catalog_->siteClass(lattice_, to);
-    } else {
-      sd.vacancies().erase(sd.vacancies().begin() +
-                           static_cast<std::ptrdiff_t>(chosen));
-      for (int t = 0; t < types; ++t) {
-        auto& typeRates = rates[static_cast<std::size_t>(t)];
-        typeRates.erase(typeRates.begin() +
-                        static_cast<std::ptrdiff_t>(chosen));
-      }
-      stale.erase(stale.begin() + static_cast<std::ptrdiff_t>(chosen));
-      active.erase(active.begin() + static_cast<std::ptrdiff_t>(chosen));
-      siteClass.erase(siteClass.begin() +
-                      static_cast<std::ptrdiff_t>(chosen));
-    }
-
-    // Invalidate rates of vacancies near the changed sites.
-    for (std::size_t v = 0; v < sd.vacancies().size(); ++v) {
-      for (const Vec3i& site : {from, to}) {
-        const Vec3i d =
-            lattice_.minimumImage(lattice_.wrap(sd.vacancies()[v]), site);
-        if (lattice_.offsetDistance(d) <= interactionRadius_) {
-          stale[v] = true;
-          break;
-        }
-      }
-    }
   }
 }
 
@@ -573,11 +451,7 @@ void ParallelEngine::foldChanges() {
         const Vec3i site{coords[0], coords[1], coords[2]};
         const auto species =
             static_cast<Species>(payload[off + sizeof(coords)]);
-        require(sd.owns(site), "fold routed to wrong owner");
-        const Species before = sd.at(site);
-        sd.set(site, species);
-        if (species == Species::kVacancy && before != Species::kVacancy)
-          sd.vacancies().push_back(lattice_.wrap(site));
+        sd.applyFold(site, species);
       }
     }
     pendingChanges_[r].clear();
@@ -1039,7 +913,7 @@ LatticeState ParallelEngine::assembleGlobalState() const {
           for (int sub = 0; sub < 2; ++sub) {
             const Vec3i p{2 * (origin.x + cx) + sub, 2 * (origin.y + cy) + sub,
                           2 * (origin.z + cz) + sub};
-            out.setSpeciesAt(lattice_.wrap(p), sd.at(p));
+            out.setSpeciesAt(lattice_.wrap(p), sd.speciesAt(p));
           }
   }
   return out;
@@ -1058,7 +932,7 @@ bool ParallelEngine::ghostsConsistent() const {
           for (int sub = 0; sub < 2; ++sub) {
             const Vec3i p{2 * (origin.x + cx) + sub, 2 * (origin.y + cy) + sub,
                           2 * (origin.z + cz) + sub};
-            if (sd.at(p) != global.speciesAt(lattice_.wrap(p))) return false;
+            if (sd.speciesAt(p) != global.speciesAt(lattice_.wrap(p))) return false;
           }
   }
   return true;

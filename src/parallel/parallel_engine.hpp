@@ -356,7 +356,6 @@ class ParallelEngine {
   std::uint64_t cycles_ = 0;
   std::uint64_t events_ = 0;
   std::uint64_t discarded_ = 0;
-  double interactionRadius_;  // angstrom, for stale-rate invalidation
   std::int64_t expectedVacancies_ = 0;  // conservation monitor baseline
   std::uint64_t lastRecoveryEpoch_ = 0;
   int sparePool_ = 0;  // replacement ranks not yet consumed by recoveries

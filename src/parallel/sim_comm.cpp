@@ -187,6 +187,9 @@ std::vector<std::uint8_t> SimComm::receiveReliable(
       } else if (attempt >= maxAttempts) {
         throw;
       }
+      // A killed sender's resend would do nothing: keep polling its
+      // lease without counting, tracing or "resending" a retry.
+      if (!rankAlive(from)) continue;
       retries.fetch_add(1, std::memory_order_relaxed);
       tm::tracer().instant("comm.retry", to);
       send(from, to, tag, resend);

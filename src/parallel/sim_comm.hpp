@@ -91,7 +91,8 @@ class SimComm {
   ///     <tag>" (after a kLeaseExpired blackbox record), and a merely
   ///     silent sender is polled again without the attempt bound;
   ///   - rethrows the CommError after `maxAttempts` failures;
-  ///   - otherwise counts one retry in `retries` and re-sends `resend`,
+  ///   - otherwise, unless the sender is already dead (its resend would
+///     do nothing), counts one retry in `retries` and re-sends `resend`,
   ///     the copy the sender buffered at send time, on its behalf.
   /// `retries` is atomic because receives of different ranks run
   /// concurrently on a threaded team. Returns the accepted payload.

@@ -71,17 +71,63 @@ bool Subdomain::owns(Vec3i p) const {
   return ok && indexer_.isLocal(f);
 }
 
-Species Subdomain::at(Vec3i p) const {
+Species Subdomain::speciesAt(Vec3i p) const {
   const auto [f, ok] = toFrame(p);
   require(ok, "coordinate outside this subdomain's extended frame");
   return species_[static_cast<std::size_t>(indexer_.indexOf(f))];
 }
 
-void Subdomain::set(Vec3i p, Species s) {
+void Subdomain::write(Vec3i p, Species s) {
   const auto [f, ok] = toFrame(p);
   require(ok, "coordinate outside this subdomain's extended frame");
   species_[static_cast<std::size_t>(indexer_.indexOf(f))] = s;
   if (indexer_.isLocal(f)) recordChange(f);
+}
+
+void Subdomain::set(Vec3i p, Species s) {
+  write(p, s);
+  if (cache_) cache_->applyChange(p, s);
+}
+
+Species Subdomain::hopVacancy(int index, Vec3i to) {
+  const Vec3i from = vacancies_[static_cast<std::size_t>(index)];
+  const Species migrating = speciesAt(to);
+  require(migrating != Species::kVacancy, "hop into a vacancy");
+  write(from, migrating);
+  write(to, Species::kVacancy);
+  const bool stays = owns(to);
+  if (stays)
+    vacancies_[static_cast<std::size_t>(index)] = global_.wrap(to);
+  else
+    vacancies_.erase(vacancies_.begin() + index);
+  if (cache_) {
+    if (!stays) cache_->erase(index);
+    cache_->applyHop(*this, stays ? index : -1, from, to);
+  }
+  return migrating;
+}
+
+void Subdomain::applyFold(Vec3i p, Species s) {
+  require(owns(p), "fold routed to wrong owner");
+  const Species before = speciesAt(p);
+  set(p, s);
+  if (s != Species::kVacancy || before == Species::kVacancy) return;
+  vacancies_.push_back(global_.wrap(p));
+  if (cache_) cache_->append(*this, p);
+}
+
+void Subdomain::setVacancyOrder(std::vector<Vec3i> order) {
+  vacancies_ = std::move(order);
+  rebuildCache();
+}
+
+void Subdomain::attachCache(const Cet& cet, const EventCatalog& catalog) {
+  cache_.emplace(cet, global_, &catalog);
+  rebuildCache();
+}
+
+void Subdomain::rebuildCache() {
+  if (cache_) cache_->rebuild(*this, vacancies_);
 }
 
 void Subdomain::recordChange(Vec3i f) {
@@ -166,6 +212,7 @@ void Subdomain::rescanVacancies() {
                        {first.x + static_cast<int>(i / 2), first.y, first.z},
                        static_cast<int>(i & 1))));
              });
+  rebuildCache();
 }
 
 std::vector<std::uint8_t> Subdomain::packCellBox(Vec3i lo, Vec3i hi) const {
@@ -182,8 +229,19 @@ void Subdomain::unpackCellBox(Vec3i lo, Vec3i hi,
                               const std::vector<std::uint8_t>& data) {
   require(data.size() == boxSites(lo, hi), "ghost payload has wrong size");
   forEachRun(lo, hi,
-             [&](Vec3i, std::size_t slot, std::size_t sites,
+             [&](Vec3i first, std::size_t slot, std::size_t sites,
                  std::size_t offset) {
+               // A full slab names no changed sites: diff it against the
+               // ghost cells to patch the cache with exactly the writes.
+               for (std::size_t i = 0; cache_ && i < sites; ++i) {
+                 const auto s = static_cast<Species>(data[offset + i]);
+                 if (species_[slot + i] != s)
+                   cache_->applyChange(
+                       frameSite({first.x + static_cast<int>(i / 2), first.y,
+                                  first.z},
+                                 static_cast<int>(i & 1)),
+                       s);
+               }
                std::memcpy(species_.data() + slot, data.data() + offset, sites);
              });
 }
@@ -231,6 +289,7 @@ void Subdomain::applyChanges(Vec3i lo, Vec3i hi,
     const Vec3i f = frameSite(c, static_cast<int>(change.offset & 1));
     species_[static_cast<std::size_t>(indexer_.indexOf(f))] = change.species;
     recordChange(f);
+    if (cache_) cache_->applyChange(f, change.species);
   }
 }
 

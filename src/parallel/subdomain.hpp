@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "kmc/vacancy_cache.hpp"
 #include "lattice/bcc_lattice.hpp"
 #include "lattice/lattice_state.hpp"
 #include "lattice/site_indexer.hpp"
@@ -23,6 +25,12 @@ namespace tkmc {
 /// current one. A resync flag, raised by construction and loadFrom(),
 /// tells the exchange that the change list cannot describe the state and
 /// full slabs must be sent instead.
+///
+/// With a vacancy cache attached (attachCache), the subdomain keeps it
+/// exact: every write — set(), hopVacancy(), applyFold(), a received
+/// ghost change list or full slab — is patched into the cached VETs, and
+/// loadFrom() and setVacancyOrder() rebuild it. Subdomain copies (cycle
+/// snapshots) carry their cache along.
 class Subdomain {
  public:
   /// One changed site of a cell box. `offset` is the site's position in
@@ -49,21 +57,33 @@ class Subdomain {
   /// True when this rank owns the coordinate.
   bool owns(Vec3i globalCoord) const;
 
-  Species at(Vec3i globalCoord) const;
+  Species speciesAt(Vec3i globalCoord) const;
   /// Writes a site. Owned sites join the change list; ghost writes do
   /// not (the owner records the same site when the change folds back).
   void set(Vec3i globalCoord, Species s);
 
   /// Copies owned + ghost species from a full global state (startup,
-  /// recovery) and raises the resync flag.
+  /// recovery), rescans the vacancy list and raises the resync flag.
   void loadFrom(const LatticeState& state);
 
   /// Owned vacancies, wrapped global coordinates, stable order.
-  std::vector<Vec3i>& vacancies() { return vacancies_; }
   const std::vector<Vec3i>& vacancies() const { return vacancies_; }
+  /// Replaces the vacancy order (a checkpoint's recorded one).
+  void setVacancyOrder(std::vector<Vec3i> order);
 
-  /// Rebuilds the vacancy list by scanning the owned region.
-  void rescanVacancies();
+  /// Hops owned vacancy `index` to the neighbouring site `to`: writes
+  /// both sites, then moves its list entry there, or drops it when `to`
+  /// is not owned. Returns the migrating species.
+  Species hopVacancy(int index, Vec3i to);
+
+  /// Writes an owned site folded back from another rank; a vacancy that
+  /// arrives there joins the end of the vacancy list.
+  void applyFold(Vec3i globalCoord, Species s);
+
+  /// Attaches this rank's vacancy cache, gathered from the current state.
+  void attachCache(const Cet& cet, const EventCatalog& catalog);
+  VacancyCache& cache() { return *cache_; }
+  const VacancyCache& cache() const { return *cache_; }
 
   /// Packs the species of every site whose unit cell lies in the
   /// extended-frame cell box [lo, hi) (cells counted from the extended
@@ -100,6 +120,14 @@ class Subdomain {
   /// element false when no image fits.
   std::pair<Vec3i, bool> toFrame(Vec3i globalCoord) const;
 
+  /// set() without the cache patch.
+  void write(Vec3i globalCoord, Species s);
+
+  /// Rebuilds the vacancy list by scanning the owned region, and the
+  /// cache with it.
+  void rescanVacancies();
+  void rebuildCache();
+
   /// Site coordinate (doubled, frame coords) of cell (cx,cy,cz) relative
   /// to the extended origin, sublattice sub.
   Vec3i frameSite(Vec3i cell, int sub) const;
@@ -124,6 +152,7 @@ class Subdomain {
   Vec3i extCells_;  // extent + 2 * ghost
   std::vector<Species> species_;
   std::vector<Vec3i> vacancies_;
+  std::optional<VacancyCache> cache_;  // entries follow vacancies_
   // Extended-frame traversal ids (cell index * 2 + sublattice, cells
   // x-fastest) of the sites changed since the last exchange; may repeat.
   std::vector<std::uint32_t> changes_;

@@ -1,6 +1,7 @@
 #include "tabulation/cet.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <unordered_set>
 
 #include "common/error.hpp"
@@ -69,6 +70,8 @@ Cet::Cet(double latticeConstant, double cutoff)
   sortSites(outerSorted);
   sites_.insert(sites_.end(), outerSorted.begin(), outerSorted.end());
   nAll_ = static_cast<int>(sites_.size());
+  for (const Vec3i& s : sites_)
+    reach_ = std::max({reach_, std::abs(s.x), std::abs(s.y), std::abs(s.z)});
 
   idIndex_.reserve(sites_.size() * 2);
   for (int id = 0; id < nAll_; ++id)
@@ -78,6 +81,10 @@ Cet::Cet(double latticeConstant, double cutoff)
 }
 
 int Cet::idOf(Vec3i rel) const {
+  // The bounding box rejects most far sites before the hash lookup.
+  if (std::abs(rel.x) > reach_ || std::abs(rel.y) > reach_ ||
+      std::abs(rel.z) > reach_)
+    return -1;
   auto it = idIndex_.find(rel);
   return it == idIndex_.end() ? -1 : it->second;
 }

@@ -53,6 +53,10 @@ class Cet {
   /// Id of a relative coordinate, or -1 when outside the system.
   int idOf(Vec3i rel) const;
 
+  /// Largest |component| of a site's relative coordinate (doubled
+  /// units): the reach of a vacancy system along any axis.
+  int reach() const { return reach_; }
+
   /// Ids 1..8 are the jump targets; convenience accessor.
   static constexpr int jumpTargetId(int direction) { return 1 + direction; }
 
@@ -62,6 +66,7 @@ class Cet {
   int nLocal_ = 0;
   int nRegion_ = 0;
   int nAll_ = 0;
+  int reach_ = 0;
   std::vector<Vec3i> sites_;
   std::unordered_map<Vec3i, int, Vec3iHash> idIndex_;
 };

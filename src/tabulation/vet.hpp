@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
 #include "lattice/lattice_state.hpp"
 #include "tabulation/cet.hpp"
 
@@ -22,9 +23,20 @@ class Vet {
   Vet() = default;
   explicit Vet(int nAll) : types_(static_cast<std::size_t>(nAll), Species::kFe) {}
 
-  /// Gathers the environment of the vacancy at `center` from the lattice.
-  /// This is the only step that touches the big lattice array.
-  static Vet gather(const Cet& cet, const LatticeState& state, Vec3i center);
+  /// Gathers the environment of the vacancy at `center` from `source`:
+  /// anything with `Species speciesAt(Vec3i) const` — the global
+  /// LatticeState, or one rank's Subdomain. This is the only step that
+  /// touches the big lattice array.
+  template <class Source>
+  static Vet gather(const Cet& cet, const Source& source, Vec3i center) {
+    Vet vet(cet.nAll());
+    require(source.speciesAt(center) == Species::kVacancy,
+            "VET must be centred on a vacancy");
+    for (int id = 0; id < cet.nAll(); ++id)
+      vet.types_[static_cast<std::size_t>(id)] =
+          source.speciesAt(center + cet.site(id));
+    return vet;
+  }
 
   Species operator[](int id) const { return types_[static_cast<std::size_t>(id)]; }
   void set(int id, Species s) { types_[static_cast<std::size_t>(id)] = s; }

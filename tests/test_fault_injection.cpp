@@ -271,7 +271,7 @@ struct ExchangeWorld {
             for (int sub = 0; sub < 2; ++sub) {
               const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
                             2 * (o.z + cz) + sub};
-              if (sd.at(p) != global.speciesAt(p)) return false;
+              if (sd.speciesAt(p) != global.speciesAt(p)) return false;
             }
     }
     return true;

@@ -60,7 +60,7 @@ TEST(GhostExchange, FillsAllGhostsIncludingCornersAndEdges) {
           for (int sub = 0; sub < 2; ++sub) {
             const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
                           2 * (o.z + cz) + sub};
-            ASSERT_EQ(sd.at(p), global.speciesAt(p))
+            ASSERT_EQ(sd.speciesAt(p), global.speciesAt(p))
                 << "rank " << r << " cell (" << cx << "," << cy << "," << cz
                 << ") sub " << sub;
           }
@@ -85,7 +85,7 @@ TEST(GhostExchange, PropagatesOwnedUpdatesToNeighbors) {
   exchange.exchangeAll(domains);
   // Rank 1 (x-neighbour) must now see it in its ghost shell.
   ASSERT_TRUE(domains[1].covers(site));
-  EXPECT_EQ(domains[1].at(site), Species::kCu);
+  EXPECT_EQ(domains[1].speciesAt(site), Species::kCu);
 }
 
 TEST(GhostExchange, MessageCountIsSixPerRankPerRound) {
@@ -139,7 +139,7 @@ TEST(GhostExchange, SingleRankAxisIsSkipped) {
           for (int sub = 0; sub < 2; ++sub) {
             const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
                           2 * (o.z + cz) + sub};
-            ASSERT_EQ(sd.at(p), global.speciesAt(lat.wrap(p)))
+            ASSERT_EQ(sd.speciesAt(p), global.speciesAt(lat.wrap(p)))
                 << "rank " << r << " cell (" << cx << "," << cy << "," << cz
                 << ") sub " << sub;
           }
@@ -203,7 +203,7 @@ struct World {
             for (int sub = 0; sub < 2; ++sub) {
               const Vec3i p{2 * (o.x + cx) + sub, 2 * (o.y + cy) + sub,
                             2 * (o.z + cz) + sub};
-              if (sd.at(p) != reference.speciesAt(lat.wrap(p)))
+              if (sd.speciesAt(p) != reference.speciesAt(lat.wrap(p)))
                 return ::testing::AssertionFailure()
                        << "rank " << r << " cell (" << cx << "," << cy << ","
                        << cz << ") sub " << sub;
@@ -273,7 +273,7 @@ TEST(IncrementalGhostExchange, CornerChangeReachesAllSevenNeighbours) {
   EXPECT_EQ(w.exchange.resyncSlabs(), fullSlabs);  // change lists only
   for (int r = 1; r < 8; ++r) {
     ASSERT_TRUE(w.domains[static_cast<std::size_t>(r)].covers(corner));
-    EXPECT_EQ(w.domains[static_cast<std::size_t>(r)].at(corner), updated)
+    EXPECT_EQ(w.domains[static_cast<std::size_t>(r)].speciesAt(corner), updated)
         << "rank " << r;
   }
   EXPECT_TRUE(w.matchesGlobal());

@@ -233,6 +233,29 @@ TEST(RankFailStop, SurfacesTypedRankFailureWithoutACheckpointStore) {
   EXPECT_EQ(inj.triggerCount("comm.rank_kill"), 1u);
 }
 
+TEST(RankFailStop, KilledSenderCountsNoRetries) {
+  // Nothing is dropped, so nothing is retransmitted: polling a killed
+  // sender's lease until it expires is waiting, not retrying, and its
+  // "resend" would do nothing.
+  ParallelWorld w(34);
+  EamEnergyModel model(w.cet, w.net, w.eam);
+  ParallelConfig cfg = failstopConfig(44, "");
+  cfg.checkpointDir.clear();
+  ParallelEngine engine(w.state, model, w.cet, cfg);
+  FaultInjector inj(13);
+  inj.armSchedule("comm.rank_kill", {5});  // rank 1's first fold send
+  FaultScope scope(inj);
+  try {
+    for (int c = 0; c < 3; ++c) engine.runCycle();
+    FAIL() << "expected RankFailure";
+  } catch (const RankFailure& failure) {
+    EXPECT_EQ(std::string(failure.what()),
+              "rank 1 fail-stop: fold lease expired on tag 50");
+  }
+  EXPECT_EQ(engine.recoveryStats().foldRetries, 0u);
+  EXPECT_EQ(engine.recoveryStats().ghostRetries, 0u);
+}
+
 /// Runs `engine` to `cycles` total cycles, then checks the surviving
 /// trajectory against a FRESH engine resumed from the recovery epoch on
 /// the same shrunken grid — the paper-level acceptance: recovery is

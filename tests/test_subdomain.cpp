@@ -28,7 +28,7 @@ TEST(Subdomain, LoadFromMirrorsGlobalState) {
       for (int cx = -3; cx < 9; ++cx)
         for (int sub = 0; sub < 2; ++sub) {
           const Vec3i p{2 * cx + sub, 2 * cy + sub, 2 * cz + sub};
-          ASSERT_EQ(sd.at(p), global.speciesAt(p));
+          ASSERT_EQ(sd.speciesAt(p), global.speciesAt(p));
         }
 }
 
@@ -56,9 +56,9 @@ TEST(Subdomain, SetAndGetRoundTrip) {
   const BccLattice lat(12, 12, 12, 2.87);
   Subdomain sd(lat, {0, 0, 0}, {6, 6, 6}, 2);
   sd.set({4, 4, 4}, Species::kCu);
-  EXPECT_EQ(sd.at({4, 4, 4}), Species::kCu);
+  EXPECT_EQ(sd.speciesAt({4, 4, 4}), Species::kCu);
   sd.set({-1, -1, -1}, Species::kVacancy);  // ghost write
-  EXPECT_EQ(sd.at({-1, -1, -1}), Species::kVacancy);
+  EXPECT_EQ(sd.speciesAt({-1, -1, -1}), Species::kVacancy);
 }
 
 TEST(Subdomain, RescanFindsOwnedVacanciesOnly) {
@@ -95,7 +95,7 @@ TEST(Subdomain, PackUnpackRoundTrip) {
       for (int cx = -2; cx < 8; ++cx)
         for (int sub = 0; sub < 2; ++sub) {
           const Vec3i p{2 * cx + sub, 2 * cy + sub, 2 * cz + sub};
-          ASSERT_EQ(b.at(p), a.at(p));
+          ASSERT_EQ(b.speciesAt(p), a.speciesAt(p));
         }
 }
 
@@ -135,7 +135,7 @@ std::vector<std::uint8_t> referencePack(const Subdomain& sd, Vec3i lo,
       for (int cx = lo.x; cx < hi.x; ++cx)
         for (int sub = 0; sub < 2; ++sub)
           out.push_back(static_cast<std::uint8_t>(
-              sd.at(frameCoord(sd, {cx, cy, cz}, sub))));
+              sd.speciesAt(frameCoord(sd, {cx, cy, cz}, sub))));
   return out;
 }
 
@@ -210,7 +210,7 @@ TEST(SubdomainKernels, UnpackMatchesPerSiteReference) {
           for (int cx = lo.x; cx < hi.x; ++cx)
             for (int sub = 0; sub < 2; ++sub) {
               const Vec3i p = frameCoord(sd, {cx, cy, cz}, sub);
-              reference.set(p, source.at(p));
+              reference.set(p, source.speciesAt(p));
             }
       const Vec3i ext = extendedCells(sd);
       ASSERT_EQ(fast.packCellBox({0, 0, 0}, ext),
@@ -235,7 +235,7 @@ TEST(SubdomainKernels, LoadAndRescanMatchPerSiteReference) {
         for (int cx = 0; cx < ext.x; ++cx)
           for (int sub = 0; sub < 2; ++sub) {
             const Vec3i p = frameCoord(sd, {cx, cy, cz}, sub);
-            ASSERT_EQ(sd.at(p), global.speciesAt(lat.wrap(p)));
+            ASSERT_EQ(sd.speciesAt(p), global.speciesAt(lat.wrap(p)));
             if (sd.owns(p) && global.speciesAt(lat.wrap(p)) ==
                                   Species::kVacancy)
               expectedVacancies.push_back(lat.wrap(p));
@@ -285,7 +285,7 @@ TEST(SubdomainChanges, AppliedChangesAreWrittenAndForwarded) {
   // Ghost cell (0,1,0) of the box [0,2)^3, sub 1: offset 2 * (0 + 2 * 1) + 1.
   sd.applyChanges({0, 0, 0}, {2, 2, 2}, {{5, Species::kVacancy}});
   const Vec3i p{2 * (0 - 2) + 1, 2 * (1 - 2) + 1, 2 * (0 - 2) + 1};
-  EXPECT_EQ(sd.at(p), Species::kVacancy);
+  EXPECT_EQ(sd.speciesAt(p), Species::kVacancy);
   const auto forwarded = sd.changesInBox({0, 0, 0}, {10, 10, 10});
   ASSERT_EQ(forwarded.size(), 1u);
   EXPECT_EQ(forwarded[0].offset, 2u * (0 + 10 * 1) + 1);
@@ -296,7 +296,7 @@ TEST(SubdomainChanges, AppliedChangesAreWrittenAndForwarded) {
 TEST(Subdomain, AtOutsideFrameThrows) {
   const BccLattice lat(12, 12, 12, 2.87);
   Subdomain sd(lat, {0, 0, 0}, {4, 4, 4}, 2);
-  EXPECT_THROW(sd.at({16, 16, 16}), Error);
+  EXPECT_THROW(sd.speciesAt({16, 16, 16}), Error);
 }
 
 }  // namespace
