@@ -67,7 +67,7 @@ fi
 
 echo "==> sanitized: TKMC_SANITIZE=thread (threaded backend smoke)"
 TKMC_SANITIZE=thread scripts/run_sanitized.sh \
-  "threaded_engine|parallel_engine|ghost_exchange|subdomain|sim_comm|fault_injection|flight_recorder|telemetry|remote_store|retry|vacancy_cache"
+  "threaded_engine|parallel_engine|ghost_exchange|subdomain|sim_comm|fault_injection|flight_recorder|telemetry|remote_store|retry|vacancy_cache|sunway_energy_model"
 
 echo "==> sanitized: trap/detrap deck on the TSan-built CLI"
 TSAN_BIN=build-sanitized/thread/tools/tensorkmc

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -25,6 +27,15 @@ namespace tkmc {
 /// pipeline gives. The operator-level figure benches (Fig. 9-13) keep
 /// FeatureOperator's full row plan: their DMA, RMA and flop counts are
 /// the reproduced quantities.
+///
+/// In front of the operators sits a row memo (DESIGN §24): a row's
+/// float atomic energy is a pure function of its NET-row pattern (the
+/// row's distance-index sequence and the species its neighbours hold in
+/// NET order), and a dilute alloy repeats a few thousand patterns. A
+/// system whose rows all hit takes its energies from the memo; every
+/// system with a miss goes through the operators in one dispatch. The
+/// model copies its weights and its float TABLE at construction, so a
+/// hit is bitwise the energy the operators gave that pattern.
 ///
 /// Numerically this is the float counterpart of NnpEnergyModel: same
 /// tables, same network (via the folded snapshot), so per-state energies
@@ -52,15 +63,35 @@ class SunwayEnergyModel final : public TetEnergyModel {
   /// One-time model distribution cost (charged at construction).
   const Traffic& modelLoadTraffic() const { return loadTraffic_; }
 
+  /// Row lookups and table clears of the memo since construction.
+  struct MemoStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+  const MemoStats& memoStats() const { return memoStats_; }
+
  private:
-  /// One feature dispatch with the TABLE and packed NET LDM-resident
-  /// across all systems, then one big-fusion forward over the
-  /// concatenated hop-local feature matrix (tile count scales with the
-  /// batch, keeping all CPE columns busy). While telemetry is enabled,
-  /// records the batch-size histogram and per-dispatch traffic
-  /// (sunway.batch.*, sunway.dispatch.*).
+  /// Looks every row up in the memo. The systems with a miss go through
+  /// one feature dispatch with the TABLE and packed NET LDM-resident
+  /// across them, then one big-fusion forward over the concatenated
+  /// hop-local feature matrix (tile count scales with the batch, keeping
+  /// all CPE columns busy), and their rows are inserted. While telemetry
+  /// is enabled, counts the memo's row hits, misses and clears
+  /// (energy.memo.*) and records the dispatched batch-size histogram and
+  /// per-dispatch traffic (sunway.batch.*, sunway.dispatch.*).
   void atomEnergies(std::span<Vet* const> vets, int numFinal,
                     double* out) override;
+
+  /// Writes the key of every row of `vet`'s system to rowKeys_: word 0
+  /// holds the row's distance-sequence id + 1 in bits 0-15, then each
+  /// neighbour's 2-bit species code in NET order, as the state reads
+  /// them (the VET with sites 0 and the target swapped).
+  void buildRowKeys(const Vet& vet, int numFinal);
+  /// The slot holding `key`, or the empty slot where it belongs.
+  std::size_t probe(const std::uint64_t* key) const;
+  void insert(const std::uint64_t* key, float energy);
+  void resizeMemo(std::size_t slots);
 
   CpeGrid grid_;
   FeatureOperator features_;
@@ -69,6 +100,26 @@ class SunwayEnergyModel final : public TetEnergyModel {
   std::vector<float> featureBuffer_;
   std::vector<float> energyBuffer_;
   std::vector<const Vet*> vetPtrScratch_;  // reused per dispatch
+
+  const Net& net_;
+  // Per region site: its distance-sequence id + 1 (sites whose NET
+  // distance-index sequences are equal share one).
+  std::vector<std::uint16_t> rowPattern_;
+  std::size_t keyWords_ = 1;  // 64-bit words per key
+  // Per row of final states 1 .. kNumJumpDirections (plan layout from
+  // stateOffset(1)): a bit at the base of each 2-bit field whose
+  // neighbour is site 0 or the state's jump target.
+  std::vector<std::uint64_t> swapMasks_;
+  // Open addressing with linear probing over a power-of-two slot count:
+  // slot i's key is memoKeys_[i * keyWords_ ..], empty while its word 0
+  // is 0. At most half the slots are used.
+  std::vector<std::uint64_t> memoKeys_;
+  std::vector<float> memoEnergies_;
+  int memoShift_ = 0;  // 64 - log2(slot count)
+  std::size_t memoUsed_ = 0;
+  MemoStats memoStats_;
+  std::vector<std::uint64_t> rowKeys_;  // one system's keys, reused
+  std::vector<std::size_t> missSystems_;
 };
 
 }  // namespace tkmc

@@ -205,25 +205,37 @@ TEST_F(BatchPipelineTest, ModeledDispatchCostAmortizesWithBatchSize) {
   // The modeled SW26010 cost (launch latency + per-run critical path)
   // must strictly favour one batched dispatch over N per-system ones:
   // fewer launches, same traffic. This is the quantity the batch bench
-  // reports, so pin its direction here.
-  SunwayEnergyModel model(cet_, net_, table_, network_);
+  // reports, so pin its direction here. It calls the operators
+  // SunwayEnergyModel dispatches on a memo miss directly: a warm model
+  // would answer these systems from its row memo and launch nothing.
+  CpeGrid grid;
+  FeatureOperator features(net_, table_, grid, RowPlan::hopLocal(net_));
+  BigFusionOperator fusion(network_.foldedSnapshot(), grid);
+  fusion.loadModel();
+  std::vector<float> featureBuffer;
+  std::vector<float> energies;
+  auto dispatch = [&](std::span<const Vet* const> vets) {
+    features.computeBatch(vets, kNumJumpDirections, featureBuffer);
+    energies.resize(features.rows().systemRows(kNumJumpDirections) *
+                    vets.size());
+    fusion.forward(featureBuffer.data(), static_cast<int>(energies.size()),
+                   energies.data());
+  };
   std::vector<Vet> vets = gatherAll();
   ASSERT_GE(vets.size(), 3u);
+  std::vector<const Vet*> ptrs;
+  for (const Vet& vet : vets) ptrs.push_back(&vet);
 
-  model.collectModeledSeconds();
-  const std::uint64_t launchesBefore = model.grid().launchCount();
-  for (Vet& vet : vets) model.stateEnergiesFromVet(vet, kNumJumpDirections);
-  const double perSystem = model.collectModeledSeconds();
-  const std::uint64_t perSystemLaunches =
-      model.grid().launchCount() - launchesBefore;
+  grid.collectModeledSeconds();
+  const std::uint64_t launchesBefore = grid.launchCount();
+  for (const Vet* vet : ptrs) dispatch({&vet, 1});
+  const double perSystem = grid.collectModeledSeconds();
+  const std::uint64_t perSystemLaunches = grid.launchCount() - launchesBefore;
 
-  std::vector<Vet*> ptrs;
-  for (Vet& vet : vets) ptrs.push_back(&vet);
-  const std::uint64_t batchedBefore = model.grid().launchCount();
-  model.stateEnergiesBatch(ptrs, kNumJumpDirections);
-  const double batched = model.collectModeledSeconds();
-  const std::uint64_t batchedLaunches =
-      model.grid().launchCount() - batchedBefore;
+  const std::uint64_t batchedBefore = grid.launchCount();
+  dispatch(ptrs);
+  const double batched = grid.collectModeledSeconds();
+  const std::uint64_t batchedLaunches = grid.launchCount() - batchedBefore;
 
   EXPECT_LT(batchedLaunches, perSystemLaunches);
   EXPECT_LT(batched, perSystem);

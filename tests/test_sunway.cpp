@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <fstream>
 
 #include "common/error.hpp"
 #include "sunway/arch_spec.hpp"
@@ -8,6 +12,51 @@
 
 namespace tkmc {
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+constexpr bool kSanitized = __has_feature(address_sanitizer) ||
+                            __has_feature(thread_sanitizer) ||
+                            __has_feature(memory_sanitizer);
+#else
+constexpr bool kSanitized = false;
+#endif
+
+// Resident bytes of this process (the second field of /proc/self/statm),
+// or 0 where that file does not exist.
+std::size_t residentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t pages = 0;
+  std::size_t resident = 0;
+  if (!(statm >> pages >> resident)) return 0;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+// First in this file, so no earlier grid's freed arenas are still
+// resident in the heap to hide the cost of a new one.
+TEST(Ldm, GridPagesInOnlyWhatItsKernelsTouch) {
+  if (kSanitized)
+    GTEST_SKIP() << "sanitizer allocators and shadow memory decide what "
+                    "is resident, not the arena";
+  if (residentBytes() == 0) GTEST_SKIP() << "no /proc/self/statm";
+  const std::size_t before = residentBytes();
+  CpeGrid grid;
+  const std::size_t after = residentBytes();
+  const std::size_t built = after > before ? after - before : 0;
+  const std::size_t allArenas =
+      static_cast<std::size_t>(grid.size()) * grid.spec().ldmBytes;
+  EXPECT_LT(built, allArenas / 8);
+
+  // A kernel's first allocation reads zero, however much it takes.
+  bool zeros = true;
+  grid.run([&](CpeContext& cpe) {
+    auto block = cpe.ldm().alloc<std::uint8_t>(16 * 1024);
+    zeros = zeros && std::all_of(block.begin(), block.end(),
+                                 [](std::uint8_t b) { return b == 0; });
+  });
+  EXPECT_TRUE(zeros);
+}
 
 TEST(Ldm, AllocatesUntilCapacity) {
   Ldm ldm(1024);

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "common/telemetry/telemetry.hpp"
 #include "kmc/nnp_energy_model.hpp"
 #include "kmc/serial_engine.hpp"
 #include "parallel/parallel_engine.hpp"
@@ -201,6 +202,114 @@ TEST_P(SunwayEnergyModelOracle, MixedSizeBatchesEqualFullRows) {
   });
 }
 
+// The row memo (DESIGN §24). Every energy it serves must be bitwise the
+// full-row pipeline's, whether the rows hit, miss, repeat within a batch
+// or were cleared at the table's bound.
+
+// One batch through the model, each system checked against the full-row
+// reference; returns the batch's energies.
+std::vector<std::vector<double>> expectBatchEqualsFullRows(
+    SunwayEnergyModel& model, SunwayFullRows& reference,
+    std::vector<Vet>& vets, int numFinal) {
+  std::vector<Vet*> ptrs;
+  for (Vet& v : vets) ptrs.push_back(&v);
+  const auto batch = model.stateEnergiesBatch(ptrs, numFinal);
+  EXPECT_EQ(batch.size(), vets.size());
+  for (std::size_t i = 0; i < vets.size() && i < batch.size(); ++i) {
+    const std::vector<double> expected = reference.energies(vets[i], numFinal);
+    EXPECT_EQ(batch[i], expected)
+        << "system " << i << " of " << vets.size() << ", " << numFinal
+        << " final states";
+  }
+  return batch;
+}
+
+std::uint64_t counter(const char* name) {
+  return telemetry::metrics().counter(name).value();
+}
+
+TEST_P(SunwayEnergyModelOracle, MemoColdThenWarmEqualsFullRows) {
+  // Batches of 1 to 8 systems with 0 to 8 final states, evaluated on a
+  // cold model, then again: the second pass is served by the memo alone
+  // (no hit is missed, no operator launches) and is bitwise the first
+  // and a fresh model's.
+  SunwayEnergyModel model(cet_, net_, table_, network_);
+  SunwayFullRows reference(net_, table_, network_);
+  Rng rng(505);
+  const int sizes[] = {1, 2, 5, 8, 3, 5, 1, 4, 2};
+  std::vector<std::vector<Vet>> batches;
+  for (const int size : sizes) {
+    batches.emplace_back();
+    for (int i = 0; i < size; ++i)
+      batches.back().push_back(randomSystem(rng, cet_, net_));
+  }
+  std::vector<std::vector<std::vector<double>>> cold;
+  std::size_t rows = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const int numFinal = static_cast<int>(b);
+    cold.push_back(expectBatchEqualsFullRows(model, reference, batches[b],
+                                             numFinal));
+    rows += batches[b].size() *
+            RowPlan::hopLocal(net_).systemRows(numFinal);
+  }
+  const SunwayEnergyModel::MemoStats afterCold = model.memoStats();
+  EXPECT_EQ(afterCold.hits + afterCold.misses, rows);
+  EXPECT_GT(afterCold.misses, 0u);
+  EXPECT_EQ(afterCold.evictions, 0u);
+
+  const std::uint64_t launches = model.grid().launchCount();
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const auto warm = expectBatchEqualsFullRows(model, reference, batches[b],
+                                                static_cast<int>(b));
+    EXPECT_EQ(warm, cold[b]) << "batch " << b;
+    SunwayEnergyModel fresh(cet_, net_, table_, network_);
+    std::vector<Vet*> ptrs;
+    for (Vet& v : batches[b]) ptrs.push_back(&v);
+    EXPECT_EQ(warm, fresh.stateEnergiesBatch(ptrs, static_cast<int>(b)))
+        << "batch " << b;
+  }
+  EXPECT_EQ(model.grid().launchCount(), launches);
+  EXPECT_EQ(model.memoStats().misses, afterCold.misses);
+  EXPECT_EQ(model.memoStats().hits, afterCold.hits + rows);
+}
+
+TEST_P(SunwayEnergyModelOracle, MemoMixedHitAndMissBatchEqualsFullRows) {
+  // A batch mixing warm systems with new ones, one of them twice:
+  // exactly the systems with a miss are dispatched, duplicate included,
+  // and the energy.memo.* counters count every row looked up.
+  telemetry::ScopedEnable on;
+  telemetry::metrics().reset();
+  SunwayEnergyModel model(cet_, net_, table_, network_);
+  SunwayFullRows reference(net_, table_, network_);
+  const std::size_t systemRows =
+      RowPlan::hopLocal(net_).systemRows(kNumJumpDirections);
+  Rng rng(606);
+  std::vector<Vet> warm = {randomSystem(rng, cet_, net_),
+                           randomSystem(rng, cet_, net_)};
+  expectBatchEqualsFullRows(model, reference, warm, kNumJumpDirections);
+  const std::uint64_t dispatched = counter("sunway.batch.systems_total");
+  EXPECT_EQ(dispatched, 2u);
+
+  const Vet fresh = randomSystem(rng, cet_, net_);
+  const Vet other = randomSystem(rng, cet_, net_);
+  std::vector<Vet> mixed = {warm[0], fresh, warm[1], other, fresh};
+  expectBatchEqualsFullRows(model, reference, mixed, kNumJumpDirections);
+  EXPECT_EQ(counter("sunway.batch.systems_total"), dispatched + 3);
+  EXPECT_EQ(counter("sunway.batch.dispatches"), 2u);
+  EXPECT_EQ(counter("energy.memo.hits") + counter("energy.memo.misses"),
+            7 * systemRows);
+  EXPECT_GT(counter("energy.memo.misses"), 0u);
+  EXPECT_EQ(counter("energy.memo.evictions"), 0u);
+  EXPECT_EQ(counter("energy.memo.hits"), model.memoStats().hits);
+  EXPECT_EQ(counter("energy.memo.misses"), model.memoStats().misses);
+
+  // Now every one of them hits, the duplicate too.
+  const std::uint64_t misses = counter("energy.memo.misses");
+  expectBatchEqualsFullRows(model, reference, mixed, kNumJumpDirections);
+  EXPECT_EQ(counter("sunway.batch.dispatches"), 2u);
+  EXPECT_EQ(counter("energy.memo.misses"), misses);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cutoffs, SunwayEnergyModelOracle,
                          ::testing::Values(4.0, kDefaultCutoff));
 
@@ -209,6 +318,91 @@ std::uint64_t bits(double d) {
   std::memcpy(&u, &d, sizeof(u));
   return u;
 }
+
+TEST(SunwayEnergyModelMemo, HighCopperAlloyClearsTheTableAndStaysExact) {
+  // At 6.5 A a row has 112 neighbours (4 key words) and a ~50% Cu
+  // environment repeats almost no pattern, so the memo doubles up to
+  // its fixed bound (2^16 slots, half of them usable) and clears there. Energies stay exact across the
+  // clear, and systems whose rows were cleared miss and are recomputed.
+  const Cet cet(kLatticeConstantFe, kDefaultCutoff);
+  const Net net(cet);
+  const FeatureTable table(net.distances(), standardPqSets());
+  Network network({64, 16, 16, 1});
+  Rng wrng(43);
+  network.initHe(wrng);
+  SunwayEnergyModel model(cet, net, table, network);
+  SunwayFullRows reference(net, table, network);
+  telemetry::ScopedEnable on;
+  telemetry::metrics().reset();
+
+  Rng rng(707);
+  auto highCopper = [&] {
+    Vet vet = randomSystem(rng, cet, net);
+    for (int id = 1; id < cet.nAll(); ++id)
+      if (vet[id] == Species::kFe && rng.uniform() < 0.3)
+        vet.set(id, Species::kCu);
+    return vet;
+  };
+  std::vector<Vet> first;
+  for (int i = 0; i < 4; ++i) first.push_back(highCopper());
+  expectBatchEqualsFullRows(model, reference, first, kNumJumpDirections);
+  for (int batch = 0; batch < 40 && model.memoStats().evictions == 0;
+       ++batch) {
+    std::vector<Vet> vets;
+    for (int i = 0; i < 4; ++i) vets.push_back(highCopper());
+    expectBatchEqualsFullRows(model, reference, vets, batch % 2 == 0
+                                                          ? kNumJumpDirections
+                                                          : 5);
+  }
+  ASSERT_EQ(model.memoStats().evictions, 1u);
+  EXPECT_EQ(counter("energy.memo.evictions"), 1u);
+
+  const std::uint64_t misses = model.memoStats().misses;
+  expectBatchEqualsFullRows(model, reference, first, kNumJumpDirections);
+  EXPECT_GT(model.memoStats().misses, misses);
+}
+
+// One model shared by the four ranks of a 2x2x1 grid, threaded against
+// inline: the memo lives under the engine's model mutex, so the
+// trajectory is bit-identical, from a cold model and from a warm one.
+TEST(SunwayEnergyModelMemo, SharedModelThreadedEqualsInline) {
+  const Cet cet(2.87, 4.0);
+  const Net net(cet);
+  const FeatureTable table(net.distances(), standardPqSets());
+  Network network({64, 16, 16, 1});
+  Rng rng(7);
+  network.initHe(rng);
+  struct Run {
+    std::uint32_t hash;
+    std::uint64_t events;
+    std::uint64_t discarded;
+    std::uint64_t time;
+    bool operator==(const Run&) const = default;
+  };
+  auto run = [&](SunwayEnergyModel& model, bool threaded) {
+    LatticeState state(BccLattice(16, 16, 16, 2.87));
+    Rng arng(51);
+    state.randomAlloy(0.12, 8, arng);
+    ParallelConfig cfg;
+    cfg.seed = 61;
+    cfg.tStop = 1e-7;
+    cfg.rankGrid = {2, 2, 1};
+    cfg.threaded = threaded;
+    ParallelEngine engine(state, model, cet, cfg);
+    for (int c = 0; c < 8; ++c) engine.runCycle();
+    return Run{engine.assembleGlobalState().contentHash(),
+               engine.totalEvents(), engine.discardedEvents(),
+               bits(engine.time())};
+  };
+  SunwayEnergyModel inlineModel(cet, net, table, network);
+  SunwayEnergyModel threadedModel(cet, net, table, network);
+  const Run inlineRun = run(inlineModel, false);
+  EXPECT_GT(inlineRun.events, 0u);
+  EXPECT_TRUE(run(threadedModel, true) == inlineRun);
+  EXPECT_GT(inlineModel.memoStats().hits, 0u);
+  EXPECT_TRUE(run(inlineModel, true) == inlineRun);  // warm
+}
+
 
 // Golden fingerprint of a parallel trajectory driven by the Sunway
 // backend: 2x1x1 in-process ranks, 16^3 cells, 12% Cu, 8 vacancies,
