@@ -217,24 +217,6 @@ std::vector<std::uint64_t> CheckpointStore::epochs() const {
   return found;
 }
 
-bool CheckpointStore::epochCompleteLocal(std::uint64_t epoch) const {
-  try {
-    const EpochManifest manifest = loadManifestLocal(epoch);
-    for (const EpochManifest::ShardEntry& entry : manifest.shards)
-      (void)loadShard(epoch, entry);
-    return !manifest.shards.empty();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool CheckpointStore::epochComplete(std::uint64_t epoch) const {
-  if (epochCompleteLocal(epoch)) return true;
-  // A locally torn or missing epoch — a shard that died with its node —
-  // gets one shot at a verified remote heal before being judged.
-  return tryHealFromRemote(epoch) && epochCompleteLocal(epoch);
-}
-
 void CheckpointStore::attachRemote(std::shared_ptr<RemoteShardStore> remote) {
   remote_ = std::move(remote);
 }
@@ -306,66 +288,30 @@ bool CheckpointStore::tryHealFromRemote(std::uint64_t epoch) const {
   }
 }
 
-/// Chain length of `epoch` in delta links (0 for a full epoch), or -1
-/// when any link of the chain fails validation: a link missing or
-/// locally torn, a base that does not precede its child, a base manifest
-/// whose sealed CRC disagrees with the child's recorded pin, a
-/// grid/cells change mid-chain, or depth beyond maxDeltaChain().
-int CheckpointStore::chainDepthOrNegative(std::uint64_t epoch) const {
-  int depth = 0;
-  std::uint64_t cur = epoch;
-  for (;;) {
-    if (!epochComplete(cur)) return -1;
-    EpochManifest m;
-    try {
-      m = loadManifest(cur);
-    } catch (const std::exception&) {
-      return -1;
-    }
-    if (!m.isDelta()) return depth;
-    if (++depth > maxDeltaChain_) return -1;
-    if (*m.baseEpoch >= cur) return -1;  // chains link strictly backwards
-    EpochManifest base;
-    try {
-      base = loadManifest(*m.baseEpoch);
-    } catch (const std::exception&) {
-      return -1;
-    }
-    // The pin: the base manifest on disk must be the exact one this
-    // delta was diffed against — a recommitted or substituted base has a
-    // different sealed CRC and breaks the chain here.
-    if (base.selfCrc != m.baseCrc) return -1;
-    if (!(base.rankGrid == m.rankGrid) || !(base.globalCells == m.globalCells))
-      return -1;
-    cur = *m.baseEpoch;
+bool CheckpointStore::chainValid(std::uint64_t epoch) const {
+  try {
+    (void)resolve(epoch);
+    return true;
+  } catch (const IoError&) {
+    return false;
   }
 }
 
-bool CheckpointStore::chainValid(std::uint64_t epoch) const {
-  return chainDepthOrNegative(epoch) >= 0;
-}
-
 std::optional<std::uint64_t> CheckpointStore::newestCompleteEpoch() const {
-  const std::vector<std::uint64_t> all = candidateEpochs();
-  for (auto it = all.rbegin(); it != all.rend(); ++it)
-    if (chainValid(*it)) return *it;
-  return std::nullopt;
+  try {
+    return loadNewestResolvable().epoch;
+  } catch (const IoError&) {
+    return std::nullopt;
+  }
 }
 
 CheckpointStore::ResolvedEpoch CheckpointStore::loadNewestResolvable() const {
   const std::vector<std::uint64_t> all = candidateEpochs();
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
-    if (!chainValid(*it)) continue;
     try {
-      ResolvedEpoch out;
-      out.epoch = *it;
-      out.manifest = loadManifest(*it);
-      out.shards = resolveShards(*it);
-      return out;
+      return resolve(*it);
     } catch (const IoError&) {
-      // Yanked between validation and load (base GC'd mid-recovery, a
-      // remote copy torn under us) — fall back to the next older epoch.
-      continue;
+      continue;  // torn, unpinned or yanked chain: try the next older epoch
     }
   }
   throw IoError("no checkpoint epoch resolves end to end: " + dir_);
@@ -377,6 +323,25 @@ EpochManifest CheckpointStore::loadManifest(std::uint64_t epoch) const {
   } catch (const IoError&) {
     if (!tryHealFromRemote(epoch)) throw;
     return loadManifestLocal(epoch);
+  }
+}
+
+CheckpointStore::StoredEpoch CheckpointStore::loadEpoch(
+    std::uint64_t epoch) const {
+  const auto parse = [&] {
+    StoredEpoch out{loadManifestLocal(epoch), {}};
+    if (out.manifest.shards.empty())
+      throw IoError("checkpoint manifest lists no shards: " + epochPath(epoch));
+    out.shards = loadShards(out.manifest);
+    return out;
+  };
+  try {
+    return parse();
+  } catch (const IoError&) {
+    // A locally torn or missing epoch — a shard that died with its node —
+    // gets one shot at a verified remote heal.
+    if (!tryHealFromRemote(epoch)) throw;
+    return parse();
   }
 }
 
@@ -546,19 +511,44 @@ std::vector<ShardRecord> CheckpointStore::loadShards(
   return shards;
 }
 
+ShardRecord CheckpointStore::makeDeltaShard(
+    ShardRecord shard, std::uint64_t baseEpoch,
+    const std::vector<std::uint32_t>& basePageHashes,
+    const std::vector<std::uint32_t>& pageHashes) {
+  require(!shard.delta, "makeDeltaShard needs a materialized shard");
+  const std::size_t pageSites =
+      static_cast<std::size_t>(SpeciesStore::kPageSites);
+  for (std::size_t p = 0; p < pageHashes.size(); ++p) {
+    if (p < basePageHashes.size() && basePageHashes[p] == pageHashes[p])
+      continue;
+    const auto run = shard.species.begin();
+    const std::size_t end = std::min((p + 1) * pageSites, shard.species.size());
+    shard.dirtyPages.push_back(
+        {static_cast<std::uint32_t>(p),
+         {run + static_cast<std::ptrdiff_t>(p * pageSites),
+          run + static_cast<std::ptrdiff_t>(end)}});
+  }
+  shard.species = {};
+  shard.delta = true;
+  shard.baseEpoch = baseEpoch;
+  return shard;
+}
+
 void CheckpointStore::applyDeltaShard(ShardRecord& base,
                                       const ShardRecord& delta) {
   require(delta.delta, "applyDeltaShard needs a delta shard");
   require(!base.delta, "delta shards must be applied onto materialized state");
-  require(base.rank == delta.rank && base.originCells == delta.originCells &&
-              base.extentCells == delta.extentCells,
-          "delta shard geometry disagrees with its base");
+  if (base.rank != delta.rank || !(base.originCells == delta.originCells) ||
+      !(base.extentCells == delta.extentCells))
+    throw IoError("delta shard geometry disagrees with its base (rank " +
+                  std::to_string(delta.rank) + ")");
   for (const ShardRecord::DirtyPage& page : delta.dirtyPages) {
     const std::size_t begin =
         static_cast<std::size_t>(page.index) *
         static_cast<std::size_t>(SpeciesStore::kPageSites);
-    require(begin + page.species.size() <= base.species.size(),
-            "delta shard page overruns its base run");
+    if (begin + page.species.size() > base.species.size())
+      throw IoError("delta shard page overruns its base run (rank " +
+                    std::to_string(delta.rank) + ")");
     std::copy(page.species.begin(), page.species.end(),
               base.species.begin() + static_cast<std::ptrdiff_t>(begin));
   }
@@ -566,39 +556,60 @@ void CheckpointStore::applyDeltaShard(ShardRecord& base,
   base.vacancyOrder = delta.vacancyOrder;
 }
 
-std::vector<ShardRecord> CheckpointStore::resolveShards(
+CheckpointStore::ResolvedEpoch CheckpointStore::resolve(
     std::uint64_t epoch) const {
-  if (!chainValid(epoch))
-    throw IoError("checkpoint epoch " + std::to_string(epoch) +
-                  " does not resolve to a valid chain: " + dir_);
-  // Collect the chain top-down: the requested epoch first, its base
-  // next, ending at the full epoch. chainValid() already pinned every
-  // link (existence, CRCs, strictly-backwards bases, depth bound).
-  std::vector<EpochManifest> chain;
-  std::uint64_t cur = epoch;
+  const auto broken = [&](std::uint64_t link, const std::string& why) {
+    return IoError("checkpoint epoch " + std::to_string(epoch) +
+                   " does not resolve: epoch " + std::to_string(link) + " " +
+                   why + ": " + dir_);
+  };
+  // Load the chain top-down, checking each link as it is read: the
+  // requested epoch first, its base next, ending at the full epoch.
+  std::vector<StoredEpoch> chain;
+  chain.push_back(loadEpoch(epoch));
   for (;;) {
-    chain.push_back(loadManifest(cur));
-    if (!chain.back().isDelta()) break;
-    cur = *chain.back().baseEpoch;
+    const EpochManifest& m = chain.back().manifest;
+    for (const ShardRecord& shard : chain.back().shards)
+      if (shard.delta != m.isDelta())
+        throw broken(m.epoch, "mixes full and delta shards");
+    if (!m.isDelta()) break;
+    if (static_cast<int>(chain.size()) > maxDeltaChain_)
+      throw broken(m.epoch, "lies deeper than the delta chain bound");
+    if (*m.baseEpoch >= m.epoch)  // chains link strictly backwards
+      throw broken(m.epoch, "links forward");
+    StoredEpoch base = loadEpoch(*m.baseEpoch);
+    // The pin: the base manifest on disk must be the exact one this
+    // delta was diffed against — a recommitted or substituted base has a
+    // different sealed CRC and breaks the chain here.
+    if (base.manifest.selfCrc != m.baseCrc)
+      throw broken(m.epoch, "does not match its base's CRC pin");
+    if (!(base.manifest.rankGrid == m.rankGrid) ||
+        !(base.manifest.globalCells == m.globalCells))
+      throw broken(m.epoch, "changes grid or cells against its base");
+    chain.push_back(std::move(base));
   }
   // Materialize the full epoch, then replay deltas in ascending epoch
   // order, matching shards by rank.
-  std::vector<ShardRecord> shards = loadShards(chain.back());
+  std::vector<ShardRecord> shards = std::move(chain.back().shards);
   std::map<int, std::size_t> byRank;
   for (std::size_t i = 0; i < shards.size(); ++i)
     byRank[shards[i].rank] = i;
   for (auto level = chain.rbegin() + 1; level != chain.rend(); ++level) {
-    for (const EpochManifest::ShardEntry& entry : level->shards) {
-      const ShardRecord delta = loadShard(level->epoch, entry);
+    for (const ShardRecord& delta : level->shards) {
       const auto at = byRank.find(delta.rank);
       if (at == byRank.end())
-        throw IoError("delta shard for rank " + std::to_string(delta.rank) +
-                      " has no base shard in epoch " +
-                      std::to_string(chain.back().epoch) + ": " + dir_);
+        throw broken(level->manifest.epoch,
+                     "has a shard for rank " + std::to_string(delta.rank) +
+                         " that its full base lacks");
       applyDeltaShard(shards[at->second], delta);
     }
   }
-  return shards;
+  return {epoch, std::move(chain.front().manifest), std::move(shards)};
+}
+
+std::vector<ShardRecord> CheckpointStore::resolveShards(
+    std::uint64_t epoch) const {
+  return resolve(epoch).shards;
 }
 
 int CheckpointStore::gcStaleArtifacts() {
@@ -624,16 +635,19 @@ int CheckpointStore::gcStaleArtifacts() {
     fs::remove_all(stage, ec);
     if (!ec) ++removed;
   }
-  // Committed epochs that fail *local* validation are unloadable by
+  // A committed epoch whose own files do not load is unloadable by
   // construction — torn manifest or shard. With a remote attached,
-  // epochComplete() first tries a verified heal, so an epoch with a
-  // sound remote copy is repaired here rather than removed.
-  // Chain-invalid but locally-sound deltas are kept: a missing base may
-  // reappear on a shared filesystem, and readers skip them regardless.
+  // loadEpoch() first tries a verified heal, so an epoch with a sound
+  // remote copy is repaired here rather than removed. Deltas whose chain
+  // breaks elsewhere are kept: a missing base may reappear on a shared
+  // filesystem, and they do not resolve regardless.
   for (const std::uint64_t epoch : committed) {
-    if (epochComplete(epoch)) continue;
-    fs::remove_all(epochPath(epoch), ec);
-    if (!ec) ++removed;
+    try {
+      (void)loadEpoch(epoch);
+    } catch (const IoError&) {
+      fs::remove_all(epochPath(epoch), ec);
+      if (!ec) ++removed;
+    }
   }
   if (removed > 0 && telemetry::enabled())
     telemetry::metrics()
@@ -649,8 +663,8 @@ int CheckpointStore::gcSupersededDeltas(std::uint64_t fullEpoch) {
     if (epoch >= fullEpoch) continue;
     bool isDelta = false;
     try {
-      isDelta = loadManifest(epoch).isDelta();
-    } catch (const std::exception&) {
+      isDelta = loadManifestLocal(epoch).isDelta();
+    } catch (const IoError&) {
       continue;  // torn epoch — startup GC's job, not consolidation's
     }
     if (!isDelta) continue;

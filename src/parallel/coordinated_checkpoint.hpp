@@ -109,18 +109,17 @@ struct EpochManifest {
 /// epoch or a `.tmp` directory that readers ignore; a manifest can
 /// never reference a missing or torn shard.
 ///
-/// Readers validate before trusting: newestCompleteEpoch() walks
-/// committed epochs newest-first and returns the first whose manifest
-/// passes its CRC footer and whose every shard exists, matches its
-/// manifest CRC and size, and parses cleanly — and, for a delta epoch,
-/// whose whole base chain is equally sound (every link present,
-/// CRC-pinned to its child's recorded base CRC, linking strictly
-/// backwards, no deeper than maxDeltaChain()).
+/// One read path: resolve() loads an epoch's chain, parsing each
+/// manifest and shard once, checks every link on the way and replays the
+/// deltas. An epoch is "complete" exactly when it resolves, so
+/// newestCompleteEpoch(), chainValid(), resolveShards() and
+/// loadNewestResolvable() cannot disagree about a restart point.
 ///
 /// Delta epochs: an epoch may store, per rank, only the occupation
 /// pages that changed since a base epoch (plus the full RNG state and
 /// vacancy order). The manifest records the `base_epoch` chain link;
-/// resolveShards() replays base + deltas back into materialized shards.
+/// makeDeltaShard() writes the page diff and applyDeltaShard() replays
+/// it.
 class CheckpointStore {
  public:
   /// Creates `dir` (and parents) if needed.
@@ -180,12 +179,6 @@ class CheckpointStore {
     return remoteHeals_.load(std::memory_order_relaxed);
   }
 
-  /// Newest epoch that validates end to end — including, for delta
-  /// epochs, the whole base chain — or nullopt. With a remote attached,
-  /// locally-broken or locally-missing epochs are healed from the
-  /// remote copy before being judged.
-  std::optional<std::uint64_t> newestCompleteEpoch() const;
-
   /// One fully materialized restart point: the epoch, its manifest, and
   /// its resolved (chain-replayed) shards.
   struct ResolvedEpoch {
@@ -194,18 +187,27 @@ class CheckpointStore {
     std::vector<ShardRecord> shards;
   };
 
-  /// Walks validating epochs newest-first and returns the first that
-  /// actually *loads* end to end. Tolerates epochs yanked between
-  /// validation and load — a base directory GC'd mid-recovery, a torn
-  /// or half-streamed remote copy — by falling back epoch-by-epoch to
-  /// the next older restart point instead of raising a terminal
-  /// IoError. Throws IoError only when no epoch resolves at all.
+  /// Materializes `epoch`. Walks its chain once, newest link first,
+  /// loading every link's manifest and shards (with a remote attached, a
+  /// locally broken link gets one verified heal) and requiring each link
+  /// to be non-empty, of its manifest's kind (full or delta shards),
+  /// CRC-pinned by its child, strictly older than its child, on the same
+  /// grid and cells, and no deeper than maxDeltaChain(). Then replays
+  /// the deltas in ascending epoch order, matching shards by rank.
+  /// Throws IoError on any failure — a torn chain is never reassembled
+  /// into plausible-looking state.
+  ResolvedEpoch resolve(std::uint64_t epoch) const;
+
+  /// The newest epoch that resolves, or nullopt. With a remote attached,
+  /// epochs that exist only remotely are candidates too.
+  std::optional<std::uint64_t> newestCompleteEpoch() const;
+
+  /// resolve() of the newest epoch that resolves: falls back epoch by
+  /// epoch past any that fails (a base GC'd mid-recovery, a torn remote
+  /// copy). Throws IoError only when no epoch resolves at all.
   ResolvedEpoch loadNewestResolvable() const;
 
-  /// True when `epoch` validates end to end: manifest and shards locally
-  /// (CRC/size/parse) and, for a delta epoch, every link of its base
-  /// chain (present, locally valid, CRC-pinned, strictly backwards,
-  /// depth <= maxDeltaChain()).
+  /// True when resolve(epoch) succeeds.
   bool chainValid(std::uint64_t epoch) const;
 
   EpochManifest loadManifest(std::uint64_t epoch) const;
@@ -216,14 +218,21 @@ class CheckpointStore {
   /// deltas; use resolveShards() for materialized state).
   std::vector<ShardRecord> loadShards(const EpochManifest& manifest) const;
 
-  /// Materializes `epoch`'s shards, replaying its base chain if it is a
-  /// delta epoch: the full base shards are loaded and every chain level's
-  /// dirty pages (plus RNG state and vacancy order) are applied in
-  /// ascending epoch order. Throws IoError on a broken chain — a torn
-  /// chain must never be reassembled into plausible-looking state.
+  /// resolve(epoch).shards.
   std::vector<ShardRecord> resolveShards(std::uint64_t epoch) const;
 
-  /// Applies a delta shard onto its materialized base (same rank + box).
+  /// The delta of a materialized shard against its base epoch, the
+  /// inverse of applyDeltaShard(): the pages whose hash in `pageHashes`
+  /// differs from, or has no counterpart in, `basePageHashes` (both
+  /// SpeciesStore::runPageHashes() of their species runs), plus the
+  /// whole RNG state and vacancy order.
+  static ShardRecord makeDeltaShard(
+      ShardRecord shard, std::uint64_t baseEpoch,
+      const std::vector<std::uint32_t>& basePageHashes,
+      const std::vector<std::uint32_t>& pageHashes);
+
+  /// Applies a delta shard onto its materialized base. Throws IoError
+  /// when the box differs or a page overruns the base run.
   static void applyDeltaShard(ShardRecord& base, const ShardRecord& delta);
 
   /// Stitches shard occupations back into a full lattice state.
@@ -232,24 +241,31 @@ class CheckpointStore {
 
   /// Startup GC: removes orphaned `epoch_<N>.tmp` staging directories (a
   /// crash between beginEpoch and commitEpoch leaves them behind
-  /// forever) and committed epoch directories that fail *local*
-  /// validation (torn manifest or shard — unloadable by construction).
-  /// Chain-invalid but locally-sound delta epochs are kept: a missing
-  /// base may reappear on a shared filesystem, and they are skipped by
-  /// newestCompleteEpoch() regardless. Returns the number of directories
-  /// removed.
+  /// forever) and committed epoch directories whose own manifest or
+  /// shards do not load (torn — unloadable by construction; with a
+  /// remote attached, a verified heal is tried first). Deltas whose chain
+  /// is broken elsewhere are kept: a missing base may reappear on a
+  /// shared filesystem, and they do not resolve regardless. Returns the
+  /// number of directories removed.
   int gcStaleArtifacts();
 
   /// Consolidation GC: removes committed *delta* epochs older than
   /// `fullEpoch`. Once a fresh full epoch is committed, every older
   /// delta resolves to an older restart point through a chain the new
   /// full supersedes; full epochs are kept as self-contained fallbacks.
-  /// Returns the number of epochs removed.
+  /// Reads local manifests only: an epoch is never healed just to be
+  /// deleted. Returns the number of epochs removed.
   int gcSupersededDeltas(std::uint64_t fullEpoch);
 
  private:
-  bool epochComplete(std::uint64_t epoch) const;
-  bool epochCompleteLocal(std::uint64_t epoch) const;
+  /// One epoch as stored: its manifest and shards (deltas unresolved).
+  struct StoredEpoch {
+    EpochManifest manifest;
+    std::vector<ShardRecord> shards;
+  };
+  /// Parses `epoch`'s manifest and every shard it lists, once. When the
+  /// local copy fails, one verified remote heal and a second parse.
+  StoredEpoch loadEpoch(std::uint64_t epoch) const;
   EpochManifest loadManifestLocal(std::uint64_t epoch) const;
   /// Fetch+verify+swap one epoch from the remote copy; false when there
   /// is no remote, no valid placement map, or any file fails its
@@ -259,12 +275,9 @@ class CheckpointStore {
   /// Restart-point candidates, ascending and de-duplicated: committed
   /// local epochs plus every epoch present in the remote store (complete
   /// or not). An epoch whose local directory died with its node is still
-  /// a restart point when the remote copy heals (chainValid ->
-  /// epochComplete pulls it back).
+  /// a restart point when the remote copy heals (resolve -> loadEpoch
+  /// pulls it back).
   std::vector<std::uint64_t> candidateEpochs() const;
-  /// Chain length in delta links (0 = full epoch), or -1 when any link
-  /// fails validation.
-  int chainDepthOrNegative(std::uint64_t epoch) const;
 
   std::string dir_;
   int maxDeltaChain_ = 8;

@@ -74,7 +74,9 @@ ParallelEngine::ParallelEngine(EnergyModel& model, const Cet& cet,
     : lattice_(1, 1, 1, 1.0), cet_(cet), model_(model),
       config_(std::move(config)), catalog_(makeEventCatalog(config_.catalog)) {
   sparePool_ = config_.spareRanks;
-  const EpochManifest manifest = store.loadManifest(epoch);
+  // resolve() materializes a delta epoch by replaying its base chain.
+  CheckpointStore::ResolvedEpoch resolved = store.resolve(epoch);
+  const EpochManifest& manifest = resolved.manifest;
   require(manifest.tStop == config_.tStop,
           "resume tStop must match the manifest (trajectories are "
           "tStop-dependent)");
@@ -83,9 +85,7 @@ ParallelEngine::ParallelEngine(EnergyModel& model, const Cet& cet,
               "' does not match the manifest's '" + manifest.catalog +
               "' (trajectories are catalog-dependent)");
   config_.seed = manifest.seed;
-  // resolveShards materializes a delta epoch by replaying its base
-  // chain; for a full epoch it degenerates to loadShards.
-  adoptEpoch(manifest, store.resolveShards(epoch));
+  adoptEpoch(manifest, resolved.shards);
   // A resumed engine has no baseline: its first epoch is full, which
   // also caps any pre-resume delta chain.
   openStore();
@@ -541,41 +541,18 @@ void ParallelEngine::writeEpoch(bool barrier) {
     for (int r = 0; r < rankCount(); ++r) {
       if (!comm.rankAlive(r)) continue;  // a dead rank can't write a shard
       ShardRecord shard = makeShard(r);
-      std::vector<std::uint32_t>& hashes =
-          newHashes[static_cast<std::size_t>(r)];
-      hashes = SpeciesStore::runPageHashes(shard.species);
-      pageTotal += hashes.size();
+      const std::size_t rank = static_cast<std::size_t>(r);
+      // Page hashes are only kept where a delta can follow.
+      if (config_.checkpointMode == CheckpointMode::kDelta)
+        newHashes[rank] = SpeciesStore::runPageHashes(shard.species);
       if (delta) {
-        const std::vector<std::uint32_t>& base =
-            baseline_.pageHashes[static_cast<std::size_t>(r)];
-        ShardRecord d;
-        d.rank = shard.rank;
-        d.originCells = shard.originCells;
-        d.extentCells = shard.extentCells;
-        d.rngState = shard.rngState;
-        d.vacancyOrder = std::move(shard.vacancyOrder);
-        d.delta = true;
-        d.baseEpoch = baseline_.epoch;
-        for (std::size_t p = 0; p < hashes.size(); ++p) {
-          if (p < base.size() && base[p] == hashes[p]) continue;
-          ShardRecord::DirtyPage page;
-          page.index = static_cast<std::uint32_t>(p);
-          const std::size_t begin =
-              p * static_cast<std::size_t>(SpeciesStore::kPageSites);
-          const std::size_t end =
-              std::min(begin + static_cast<std::size_t>(SpeciesStore::kPageSites),
-                       shard.species.size());
-          page.species.assign(shard.species.begin() +
-                                  static_cast<std::ptrdiff_t>(begin),
-                              shard.species.begin() +
-                                  static_cast<std::ptrdiff_t>(end));
-          d.dirtyPages.push_back(std::move(page));
-        }
-        dirtyTotal += d.dirtyPages.size();
-        manifest.shards.push_back(store_->stageShard(epoch, d));
-      } else {
-        manifest.shards.push_back(store_->stageShard(epoch, shard));
+        pageTotal += newHashes[rank].size();
+        shard = CheckpointStore::makeDeltaShard(
+            std::move(shard), baseline_.epoch, baseline_.pageHashes[rank],
+            newHashes[rank]);
+        dirtyTotal += shard.dirtyPages.size();
       }
+      manifest.shards.push_back(store_->stageShard(epoch, shard));
       telemetry::flightRecorder().record(
           r, telemetry::BlackboxEventType::kCheckpointStage, delta ? 1 : 0,
           epoch, manifest.shards.back().bytes);

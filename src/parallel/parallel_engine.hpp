@@ -260,7 +260,7 @@ class ParallelEngine {
     std::uint32_t manifestCrc = 0;  // chain pin for the next delta child
     int chainDepth = 0;          // delta links since the last full epoch
     Vec3i rankGrid{};
-    std::vector<std::vector<std::uint32_t>> pageHashes;  // per rank
+    std::vector<std::vector<std::uint32_t>> pageHashes;  // per rank; delta mode
   };
 
   struct Snapshot {

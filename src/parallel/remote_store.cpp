@@ -72,17 +72,6 @@ std::vector<std::string> DirRemoteStore::listEpochs() const {
   return out;
 }
 
-std::vector<std::string> DirRemoteStore::listFiles(
-    const std::string& epochDir) const {
-  std::vector<std::string> out;
-  std::error_code ec;
-  for (fs::directory_iterator it(fs::path(root_) / epochDir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (it->is_regular_file()) out.push_back(it->path().filename().string());
-  }
-  return out;
-}
-
 std::optional<RemoteShardStore::Stat> DirRemoteStore::stat(
     const std::string& epochDir, const std::string& file) const {
   std::error_code ec;

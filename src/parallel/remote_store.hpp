@@ -42,10 +42,6 @@ class RemoteShardStore {
   /// Epoch directory names present remotely (complete or in flight).
   virtual std::vector<std::string> listEpochs() const = 0;
 
-  /// File names within one remote epoch directory.
-  virtual std::vector<std::string> listFiles(
-      const std::string& epochDir) const = 0;
-
   /// Size of a remote object, or nullopt when absent.
   virtual std::optional<Stat> stat(const std::string& epochDir,
                                    const std::string& file) const = 0;
@@ -70,7 +66,6 @@ class DirRemoteStore : public RemoteShardStore {
   std::string get(const std::string& epochDir,
                   const std::string& file) const override;
   std::vector<std::string> listEpochs() const override;
-  std::vector<std::string> listFiles(const std::string& epochDir) const override;
   std::optional<Stat> stat(const std::string& epochDir,
                            const std::string& file) const override;
   std::string describe() const override { return root_; }

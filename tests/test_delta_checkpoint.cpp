@@ -12,6 +12,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry/telemetry.hpp"
 #include "kmc/eam_energy_model.hpp"
+#include "lattice/species_store.hpp"
 #include "parallel/coordinated_checkpoint.hpp"
 #include "parallel/parallel_engine.hpp"
 
@@ -241,6 +242,30 @@ TEST(DeltaStore, CrcMismatchedLinkDisqualifiesDescendantsButGcKeepsThem) {
   EXPECT_EQ(store.newestCompleteEpoch(), std::uint64_t{0});
 }
 
+TEST(DeltaStore, AnEpochMixingShardKindsDoesNotResolve) {
+  // A full manifest listing a delta shard would reassemble from an empty
+  // run; a delta manifest listing a full shard has nothing to replay.
+  CheckpointStore store(tempDir("tkmc_delta_mixed_kinds"));
+  const std::uint32_t crc0 = commitTinyFull(store, 0, {0, 1});
+  ShardRecord delta = tinyFullShard({});
+  delta.delta = true;
+  store.beginEpoch(1);
+  EpochManifest full = tinyManifest(1);
+  full.shards.push_back(store.stageShard(1, delta));
+  store.commitEpoch(full);
+  store.beginEpoch(2);
+  EpochManifest deltaManifest = tinyManifest(2);
+  deltaManifest.baseEpoch = 0;
+  deltaManifest.baseCrc = crc0;
+  deltaManifest.shards.push_back(store.stageShard(2, tinyFullShard({1, 1})));
+  store.commitEpoch(deltaManifest);
+
+  EXPECT_FALSE(store.chainValid(1));
+  EXPECT_FALSE(store.chainValid(2));
+  EXPECT_EQ(store.newestCompleteEpoch(), std::uint64_t{0});
+  EXPECT_EQ(store.loadNewestResolvable().epoch, 0u);
+}
+
 TEST(DeltaStore, StartupGCRemovesTmpDirsAndTornEpochs) {
   CheckpointStore store(tempDir("tkmc_delta_gc"));
   commitTinyFull(store, 0, {0, 1});
@@ -291,6 +316,115 @@ TEST(DeltaStore, CrcFieldsMustBeExactlyEightHexDigits) {
   }
   spit(path, intact);
   EXPECT_EQ(store.loadManifest(1).selfCrc, m.selfCrc);
+}
+
+TEST(DeltaStore, MakeDeltaShardIsTheInverseOfApplyDeltaShard) {
+  // A two-and-a-half-page run: page 0 unchanged, pages 1 and 2 changed
+  // (page 2 is the short tail, and has no base hash at all).
+  const std::size_t pageSites = SpeciesStore::kPageSites;
+  ShardRecord base = tinyFullShard(
+      std::vector<std::uint8_t>(2 * pageSites + pageSites / 2, 0));
+  base.extentCells = {1, 1, static_cast<int>(base.species.size() / 2)};
+  ShardRecord next = base;
+  next.species[pageSites + 3] = 1;
+  next.species.back() = 2;
+  next.rngState = {9, 9, 9, 9};
+  next.vacancyOrder = {{1, 1, 1}};
+  std::vector<std::uint32_t> baseHashes =
+      SpeciesStore::runPageHashes(base.species);
+  baseHashes.pop_back();
+
+  const ShardRecord delta = CheckpointStore::makeDeltaShard(
+      next, 4, baseHashes, SpeciesStore::runPageHashes(next.species));
+  EXPECT_TRUE(delta.delta);
+  EXPECT_EQ(delta.baseEpoch, 4u);
+  EXPECT_TRUE(delta.species.empty());
+  ASSERT_EQ(delta.dirtyPages.size(), 2u);
+  EXPECT_EQ(delta.dirtyPages[0].index, 1u);
+  EXPECT_EQ(delta.dirtyPages[1].index, 2u);
+  EXPECT_EQ(delta.dirtyPages[1].species.size(), pageSites / 2);
+
+  CheckpointStore::applyDeltaShard(base, delta);
+  EXPECT_EQ(base.species, next.species);
+  EXPECT_EQ(base.rngState, next.rngState);
+  EXPECT_EQ(base.vacancyOrder, next.vacancyOrder);
+}
+
+TEST(DeltaStore, ApplyDeltaShardRejectsAForeignBoxOrAnOverrunAsIoError) {
+  ShardRecord base = tinyFullShard({0, 1});
+  ShardRecord moved = tinyFullShard({});
+  moved.delta = true;
+  moved.originCells = {1, 0, 0};
+  EXPECT_THROW(CheckpointStore::applyDeltaShard(base, moved), IoError);
+  ShardRecord overrun = tinyFullShard({});
+  overrun.delta = true;
+  overrun.dirtyPages.push_back({1, {0, 0}});  // page 1 of a two-site run
+  EXPECT_THROW(CheckpointStore::applyDeltaShard(base, overrun), IoError);
+  EXPECT_EQ(base.species, (std::vector<std::uint8_t>{0, 1}));
+}
+
+// --- Sealed deltas that do not resolve ---------------------------------
+
+ParallelConfig oneRankConfig(const std::string& dir) {
+  ParallelConfig cfg = deltaConfig(71, dir);
+  cfg.rankGrid = {1, 1, 1};
+  cfg.heartbeatTimeoutMs = 0.0;
+  return cfg;
+}
+
+/// Epoch 0 from a one-rank engine, then a sealed delta epoch 1 pinned to
+/// it whose only shard is rank 0's box, renamed to `rank` and moved to
+/// `origin`. Every file parses; whether epoch 1 resolves is the question.
+void commitDeltaOverOneRankBase(const std::string& dir, int rank,
+                                Vec3i origin) {
+  {
+    ParallelWorld w(71);
+    EamEnergyModel model(w.cet, w.net, w.eam);
+    ParallelEngine engine(w.state, model, w.cet, oneRankConfig(dir));
+  }
+  CheckpointStore store(dir);
+  const EpochManifest base = store.loadManifest(0);
+  ASSERT_EQ(base.shards.size(), 1u);
+  ShardRecord delta = store.loadShard(0, base.shards[0]);
+  delta.species.clear();
+  delta.delta = true;
+  delta.rank = rank;
+  delta.originCells = origin;
+  EpochManifest m = base;
+  m.epoch = 1;
+  m.baseEpoch = 0;
+  m.baseCrc = base.selfCrc;
+  m.shards.clear();
+  store.beginEpoch(1);
+  m.shards.push_back(store.stageShard(1, delta));
+  store.commitEpoch(m);
+}
+
+/// The store's every reader agrees epoch 1 is not a restart point, and a
+/// resume from the epoch they pick succeeds.
+void expectEveryReaderPicksTheBase(const std::string& dir) {
+  CheckpointStore store(dir);
+  ASSERT_EQ(store.epochs(), (std::vector<std::uint64_t>{0, 1}));
+  EXPECT_FALSE(store.chainValid(1));
+  EXPECT_THROW((void)store.resolveShards(1), IoError);
+  ASSERT_EQ(store.newestCompleteEpoch(), std::uint64_t{0});
+  EXPECT_EQ(store.loadNewestResolvable().epoch, 0u);
+  ParallelWorld w(71);
+  EamEnergyModel model(w.cet, w.net, w.eam);
+  EXPECT_NO_THROW(ParallelEngine(model, w.cet, oneRankConfig(""), store,
+                                 *store.newestCompleteEpoch()));
+}
+
+TEST(UnresolvableDelta, ARankItsBaseLacksIsNotComplete) {
+  const std::string dir = tempDir("tkmc_delta_foreign_rank");
+  commitDeltaOverOneRankBase(dir, 1, {0, 0, 0});
+  expectEveryReaderPicksTheBase(dir);
+}
+
+TEST(UnresolvableDelta, ABoxItsBaseLacksIsNotComplete) {
+  const std::string dir = tempDir("tkmc_delta_foreign_box");
+  commitDeltaOverOneRankBase(dir, 0, {1, 0, 0});
+  expectEveryReaderPicksTheBase(dir);
 }
 
 // --- Engine-written delta epochs ---------------------------------------

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -200,16 +201,13 @@ TEST(Placement, CrcFieldsMustBeExactlyEightHexDigits) {
 // --- DirRemoteStore ----------------------------------------------------
 
 TEST(DirStore, PutGetListStatRoundTrip) {
-  DirRemoteStore remote(tempDir("tkmc_remote_roundtrip"));
+  const std::string root = tempDir("tkmc_remote_roundtrip");
+  DirRemoteStore remote(root);
   remote.put("epoch_3", "rank_0.tkc", "hello shard");
   remote.put("epoch_3", "manifest.tkm", "hello manifest");
 
   EXPECT_EQ(remote.get("epoch_3", "rank_0.tkc"), "hello shard");
   EXPECT_EQ(remote.listEpochs(), (std::vector<std::string>{"epoch_3"}));
-  std::vector<std::string> files = remote.listFiles("epoch_3");
-  std::sort(files.begin(), files.end());
-  EXPECT_EQ(files,
-            (std::vector<std::string>{"manifest.tkm", "rank_0.tkc"}));
   ASSERT_TRUE(remote.stat("epoch_3", "rank_0.tkc"));
   EXPECT_EQ(remote.stat("epoch_3", "rank_0.tkc")->bytes, 11u);
   EXPECT_FALSE(remote.stat("epoch_3", "missing"));
@@ -218,7 +216,9 @@ TEST(DirStore, PutGetListStatRoundTrip) {
   // Overwrites replace in place: no .tmp or .bak debris in the mirror.
   remote.put("epoch_3", "rank_0.tkc", "rewritten");
   EXPECT_EQ(remote.get("epoch_3", "rank_0.tkc"), "rewritten");
-  EXPECT_EQ(remote.listFiles("epoch_3").size(), 2u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(fs::path(root) / "epoch_3"),
+                          fs::directory_iterator()),
+            2);
 }
 
 // --- ShardStreamer -----------------------------------------------------
@@ -395,6 +395,97 @@ TEST(RemoteRecovery, TruncatedDeltaChainFailsOverToAnOlderEpoch) {
   // Only when no epoch resolves at all does recovery raise.
   fs::remove_all(store.epochPath(0));
   EXPECT_THROW((void)store.loadNewestResolvable(), IoError);
+}
+
+// --- Exhaustive damage sweep over the read path -------------------------
+
+void expectSameShards(const std::vector<ShardRecord>& got,
+                      const std::vector<ShardRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_FALSE(got[i].delta);
+    EXPECT_EQ(got[i].rank, want[i].rank);
+    EXPECT_EQ(got[i].originCells, want[i].originCells);
+    EXPECT_EQ(got[i].extentCells, want[i].extentCells);
+    EXPECT_EQ(got[i].rngState, want[i].rngState);
+    EXPECT_EQ(got[i].vacancyOrder, want[i].vacancyOrder);
+    EXPECT_EQ(got[i].species, want[i].species);
+  }
+}
+
+TEST(ReadPathDamage, EveryFileDamageResolvesTheNewestUntouchedChain) {
+  // Full 0, delta 1 -> 0, delta 2 -> 1, full 3, delta 4 -> 3. Every
+  // damage to every file must leave newestCompleteEpoch() and
+  // loadNewestResolvable() on the newest epoch whose chain it does not
+  // touch, with that epoch's undamaged state; startup GC must remove the
+  // damaged epoch and nothing that resolves. With a remote mirror the
+  // damaged epoch heals exactly once instead.
+  const std::string pristine = tempDir("tkmc_damage_pristine");
+  auto remote = std::make_shared<DirRemoteStore>(tempDir("tkmc_damage_remote"));
+  std::map<std::uint64_t, std::vector<ShardRecord>> reference;
+  {
+    CheckpointStore store(pristine);
+    const std::uint32_t crc0 = commitTinyFull(store, 0, {0, 1});
+    const std::uint32_t crc1 = commitTinyDelta(store, 1, 0, crc0, {1, 1});
+    commitTinyDelta(store, 2, 1, crc1, {2, 0});
+    const std::uint32_t crc3 = commitTinyFull(store, 3, {2, 2});
+    commitTinyDelta(store, 4, 3, crc3, {0, 2});
+    streamAll(store, remote);
+    for (const std::uint64_t e : store.epochs())
+      reference[e] = store.resolveShards(e);
+  }
+  const std::vector<std::uint64_t> all = {0, 1, 2, 3, 4};
+  const std::map<std::uint64_t, std::vector<std::uint64_t>> chainOf = {
+      {0, {0}}, {1, {1, 0}}, {2, {2, 1, 0}}, {3, {3}}, {4, {4, 3}}};
+  const auto touches = [&](std::uint64_t epoch, std::uint64_t damaged) {
+    const std::vector<std::uint64_t>& chain = chainOf.at(epoch);
+    return std::find(chain.begin(), chain.end(), damaged) != chain.end();
+  };
+  const std::vector<std::string> damages = {"delete", "truncate", "flip"};
+  for (const bool mirrored : {false, true})
+    for (const std::uint64_t damaged : all)
+      for (const std::string file : {"manifest.tkm", "rank_0.tkc"})
+        for (const std::string& damage : damages) {
+          SCOPED_TRACE((mirrored ? "mirrored, " : "local, ") + damage + " " +
+                       "epoch_" + std::to_string(damaged) + "/" + file);
+          const std::string dir = tempDir("tkmc_damage_case");
+          fs::copy(pristine, dir, fs::copy_options::recursive);
+          const std::string path =
+              dir + "/epoch_" + std::to_string(damaged) + "/" + file;
+          if (damage == "delete") {
+            fs::remove(path);
+          } else if (damage == "truncate") {
+            fs::resize_file(path, fs::file_size(path) / 2);
+          } else {
+            std::string contents = slurp(path);
+            contents[contents.size() / 2] ^= 0x01;
+            std::ofstream(path, std::ios::binary | std::ios::trunc) << contents;
+          }
+          CheckpointStore store(dir);
+          if (mirrored) store.attachRemote(remote);
+          std::uint64_t expected = 4;
+          while (!mirrored && touches(expected, damaged)) --expected;
+
+          EXPECT_EQ(store.newestCompleteEpoch(), expected);
+          const CheckpointStore::ResolvedEpoch newest =
+              store.loadNewestResolvable();
+          EXPECT_EQ(newest.epoch, expected);
+          expectSameShards(newest.shards, reference.at(expected));
+          std::vector<std::uint64_t> resolving;
+          for (const std::uint64_t e : store.epochs())
+            if (store.chainValid(e)) resolving.push_back(e);
+
+          EXPECT_EQ(store.gcStaleArtifacts(), mirrored ? 0 : 1);
+          std::vector<std::uint64_t> kept = all;
+          if (!mirrored) kept.erase(kept.begin() + static_cast<long>(damaged));
+          EXPECT_EQ(store.epochs(), kept);
+          for (const std::uint64_t e : resolving)
+            expectSameShards(store.resolveShards(e), reference.at(e));
+          for (const std::uint64_t e : all)
+            EXPECT_EQ(store.chainValid(e), mirrored || !touches(e, damaged))
+                << "epoch " << e;
+          EXPECT_EQ(store.remoteHeals(), mirrored ? 1u : 0u);
+        }
 }
 
 // --- Engine end to end: node loss, heal, bit-exact resume ---------------
